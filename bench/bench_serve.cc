@@ -15,13 +15,11 @@
 // Phase B — throughput (real clock). A fresh server with worker threads and
 // coalescing enabled serves the same request population; p50/p95/p99 latency
 // come from the serve.latency_seconds obs histogram, and serve_speedup
-// compares against the sequential pre-serving path (eval::ExplainAll with
-// mega-batching disabled, timed on the same tasks).
+// compares against batch eval::ExplainAll timed on the same tasks.
 //
 // Flags: --quick (reduced trace, the tier-1 fixture mode), --requests N,
 // --epochs N, --workers N, --queue-depth N, --seed S, --threads N,
-// --legacy-loop (route Phase B through the sequential fallback), --serve-out
-// FILE, plus the shared telemetry flags (bench_common.h).
+// --serve-out FILE, plus the shared telemetry flags (bench_common.h).
 
 #include <algorithm>
 #include <cmath>
@@ -37,7 +35,6 @@
 
 #include "bench_common.h"
 #include "eval/runner.h"
-#include "explain/batch_runner.h"
 #include "explain/explainer.h"
 #include "gnn/model.h"
 #include "graph/graph.h"
@@ -207,7 +204,6 @@ int Run(int argc, char** argv) {
   const size_t queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 5));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const bool legacy_loop = flags.GetBool("legacy-loop", false);
   const std::string serve_out = flags.GetString("serve-out", "BENCH_serve.json");
 
   const graph::Graph graph = MakeServeGraph();
@@ -216,8 +212,8 @@ int Run(int argc, char** argv) {
   CHECK(registry.Register("m2", MakeModel(seed + 2)).ok());
   const std::vector<TraceRequest> trace = MakeTrace(num_requests, seed + 3);
 
-  // --- Reference + legacy timing: sequential eval::ExplainAll with
-  // mega-batching off — the pre-serving code path over the same tasks.
+  // --- Reference + baseline timing: batch eval::ExplainAll over the same
+  // tasks, the pre-serving code path.
   std::vector<explain::ExplanationTask> tasks;
   tasks.reserve(trace.size());
   for (const TraceRequest& request : trace) {
@@ -230,13 +226,10 @@ int Run(int argc, char** argv) {
   }
   std::unique_ptr<explain::Explainer> reference_explainer =
       eval::MakeExplainer("Revelio", ExplainerConfig(seed, epochs));
-  const bool megabatch_was_enabled = explain::MegaBatchEnabled();
-  explain::SetMegaBatchEnabled(false);
-  util::Timer legacy_timer;
+  util::Timer baseline_timer;
   const std::vector<explain::Explanation> reference =
       eval::ExplainAll(reference_explainer.get(), tasks, explain::Objective::kFactual);
-  const double legacy_seconds = legacy_timer.ElapsedSeconds();
-  explain::SetMegaBatchEnabled(megabatch_was_enabled);
+  const double baseline_seconds = baseline_timer.ElapsedSeconds();
 
   // --- Phase A: virtual-time admission replay against the oracle.
   const AdmissionOracle oracle = ComputeOracle(trace, queue_depth);
@@ -314,7 +307,6 @@ int Run(int argc, char** argv) {
   throughput_options.queue_capacity = trace.size();
   throughput_options.num_workers = workers;
   throughput_options.coalesce = true;
-  throughput_options.legacy_loop = legacy_loop;
   serve::ExplanationServer throughput_server(&registry, throughput_options);
   throughput_server.RegisterExplainer(
       "Revelio", eval::MakeExplainer("Revelio", ExplainerConfig(seed, epochs)));
@@ -336,7 +328,7 @@ int Run(int argc, char** argv) {
     if (!BitwiseEqual(reference[i], response.explanation)) bitwise_equal = false;
   }
   const serve::ServerStats throughput_stats = throughput_server.stats();
-  const double serve_speedup = serve_seconds > 0.0 ? legacy_seconds / serve_seconds : 0.0;
+  const double serve_speedup = serve_seconds > 0.0 ? baseline_seconds / serve_seconds : 0.0;
 
   obs::HistogramSummary latency;
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
@@ -345,7 +337,7 @@ int Run(int argc, char** argv) {
   }
 
   LOG_INFO << "phase B throughput: " << num_requests << " requests in " << serve_seconds
-           << "s (legacy " << legacy_seconds << "s, speedup " << serve_speedup
+           << "s (ExplainAll " << baseline_seconds << "s, speedup " << serve_speedup
            << "x), p50/p95/p99 " << latency.p50 << "/" << latency.p95 << "/" << latency.p99
            << "s, coalesced groups " << throughput_stats.coalesced_groups;
 
@@ -363,8 +355,6 @@ int Run(int argc, char** argv) {
     w->Double(static_cast<double>(kDeadlineNanos) * 1e-6);
     w->Key("workers");
     w->Int(workers);
-    w->Key("legacy_loop");
-    w->Bool(legacy_loop);
     w->Key("points");
     w->BeginArray();
     w->BeginObject();
@@ -394,8 +384,8 @@ int Run(int argc, char** argv) {
     w->Uint(replay_stats.warm_pool_hits);
     w->Key("warm_misses");
     w->Uint(replay_stats.warm_pool_misses);
-    w->Key("legacy_seconds");
-    w->Double(legacy_seconds);
+    w->Key("baseline_seconds");
+    w->Double(baseline_seconds);
     w->Key("serve_seconds");
     w->Double(serve_seconds);
     w->Key("serve_speedup");

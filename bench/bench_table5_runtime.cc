@@ -11,7 +11,6 @@
 
 #include "bench_common.h"
 #include "eval/runner.h"
-#include "explain/batch_runner.h"
 #include "explain/pgexplainer.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
@@ -168,121 +167,6 @@ int main(int argc, char** argv) {
         w->Double(r.pooled_seconds);
         w->Key("pool_speedup");
         w->Double(r.pool_speedup);
-        w->Key("bitwise_equal");
-        w->Bool(r.bitwise_equal);
-        w->EndObject();
-      }
-      w->EndArray();
-      w->EndObject();
-    });
-  }
-
-  // --batch-sweep FILE: measure mega-batched Revelio throughput against the
-  // sequential per-instance loop at increasing group sizes, verifying every
-  // point stays bitwise-equal to the sequential explanations. The speedup
-  // comes from amortizing per-op dispatch over the fused block-diagonal
-  // graph (see DESIGN.md section 10); run with --threads 1 for the paper
-  // comparison.
-  const std::string batch_sweep_out = flags.GetString("batch-sweep", "");
-  if (!batch_sweep_out.empty()) {
-    struct SweepRow {
-      std::string dataset;
-      int instances = 0;
-      int batch_size = 0;  // 0 = the sequential baseline row
-      double seconds = 0.0;
-      double explanations_per_sec = 0.0;
-      double speedup = 1.0;  // vs the sequential baseline
-      bool bitwise_equal = true;
-    };
-    std::vector<SweepRow> rows;
-    const bool megabatch_was_enabled = explain::MegaBatchEnabled();
-    const int megabatch_old_size = explain::MegaBatchSize();
-    // Pin execution plans off: replay would accelerate the sequential
-    // baseline far more than the fused groups (small per-instance tensors are
-    // dispatch-dominated), compressing the ratio this sweep isolates. The
-    // plan x megabatch composition is measured by --plan-sweep instead.
-    const bool batch_sweep_plans = plan::ExecPlanEnabled();
-    plan::SetExecPlanEnabled(false);
-    std::printf("\n== Revelio mega-batched vs sequential (writes %s) ==\n",
-                batch_sweep_out.c_str());
-    for (size_t d = 0; d < scope.datasets.size(); ++d) {
-      auto explainer = eval::MakeExplainer("Revelio", scope.config);
-      std::vector<explain::ExplanationTask> tasks;
-      tasks.reserve(instances[d].size());
-      for (const auto& instance : instances[d]) {
-        tasks.push_back(instance.MakeTask(prepared[d].model.get()));
-      }
-      const int count = static_cast<int>(tasks.size());
-      if (count == 0) continue;
-      auto run = [&] {
-        util::Timer timer;
-        std::vector<explain::Explanation> explanations =
-            eval::ExplainAll(explainer.get(), tasks, explain::Objective::kFactual);
-        return std::pair<std::vector<explain::Explanation>, double>(std::move(explanations),
-                                                                    timer.ElapsedSeconds());
-      };
-      explain::SetMegaBatchEnabled(false);
-      (void)run();  // warm model/graph caches and the tensor pool
-      auto [sequential, sequential_seconds] = run();
-      SweepRow baseline;
-      baseline.dataset = scope.datasets[d];
-      baseline.instances = count;
-      baseline.seconds = sequential_seconds;
-      baseline.explanations_per_sec =
-          sequential_seconds > 0.0 ? count / sequential_seconds : 0.0;
-      std::printf("%-12s instances=%-3d sequential %8.4fs (%7.2f expl/s)\n",
-                  baseline.dataset.c_str(), count, baseline.seconds,
-                  baseline.explanations_per_sec);
-      rows.push_back(baseline);
-
-      explain::SetMegaBatchEnabled(true);
-      for (const int batch_size : {1, 2, 4, 8, 16, 32}) {
-        if (batch_size > count && batch_size != 32) continue;
-        explain::SetMegaBatchSize(batch_size);
-        (void)run();  // prime the pool size classes for this group geometry
-        auto [batched, batched_seconds] = run();
-        SweepRow row;
-        row.dataset = scope.datasets[d];
-        row.instances = count;
-        row.batch_size = batch_size;
-        row.seconds = batched_seconds;
-        row.explanations_per_sec = batched_seconds > 0.0 ? count / batched_seconds : 0.0;
-        row.speedup = batched_seconds > 0.0 ? sequential_seconds / batched_seconds : 0.0;
-        row.bitwise_equal = batched.size() == sequential.size();
-        for (size_t i = 0; i < batched.size() && row.bitwise_equal; ++i) {
-          if (batched[i].edge_scores != sequential[i].edge_scores ||
-              batched[i].flow_scores != sequential[i].flow_scores) {
-            row.bitwise_equal = false;
-          }
-        }
-        std::printf("%-12s batch=%-3d %8.4fs (%7.2f expl/s)  speedup=%5.2fx  "
-                    "bitwise_equal=%s\n",
-                    row.dataset.c_str(), row.batch_size, row.seconds,
-                    row.explanations_per_sec, row.speedup, row.bitwise_equal ? "yes" : "NO");
-        rows.push_back(std::move(row));
-      }
-    }
-    explain::SetMegaBatchEnabled(megabatch_was_enabled);
-    explain::SetMegaBatchSize(megabatch_old_size);
-    plan::SetExecPlanEnabled(batch_sweep_plans);
-    bench::WriteBenchJson(batch_sweep_out, "megabatch_sweep", [&](obs::JsonWriter* w) {
-      w->BeginObject();
-      w->Key("points");
-      w->BeginArray();
-      for (const SweepRow& r : rows) {
-        w->BeginObject();
-        w->Key("dataset");
-        w->String(r.dataset);
-        w->Key("instances");
-        w->Int(r.instances);
-        w->Key("batch_size");
-        w->Int(r.batch_size);
-        w->Key("seconds");
-        w->Double(r.seconds);
-        w->Key("explanations_per_sec");
-        w->Double(r.explanations_per_sec);
-        w->Key("speedup");
-        w->Double(r.speedup);
         w->Key("bitwise_equal");
         w->Bool(r.bitwise_equal);
         w->EndObject();

@@ -30,7 +30,6 @@ from pathlib import Path
 PRIMARY_FIELDS = {
     "spmm_fused_vs_chain": ("fused_speedup", "higher"),
     "tensor_pool": ("pool_speedup", "higher"),
-    "megabatch_sweep": ("speedup", "higher"),
     "plan_sweep": ("plan_speedup", "higher"),
     "table5_obs": ("overhead_ratio", "lower"),
     "serve_trace": ("serve_speedup", "higher"),

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Full verification ladder: tier-1 -> property suites -> ASan -> UBSan -> TSan.
 # The property stage includes the fused-SpMM equivalence suite
-# (spmm_equivalence_test), the mega-batch equivalence suite
-# (megabatch_equivalence_test), and the plan replay harness
+# (spmm_equivalence_test), the serving equivalence suite
+# (serve_equivalence_test), and the plan replay harness
 # (plan_equivalence_test); the TSan pass runs each as its own named
-# stage so a data race in the fused aggregation path, the shared batched
-# backward, or the level-parallel plan executor is attributed directly. The
+# stage so a data race in the fused aggregation path, the concurrent
+# instance-parallel serving groups, or the level-parallel plan executor is
+# attributed directly. The
 # pool and plan stages rerun their equivalence suites under ASan with
 # REVELIO_POISON_POOL=1 so full-overwrite contract violations surface as NaNs,
 # and the simd stage does the same for the SIMD/bf16 equivalence suites: any
@@ -98,22 +99,21 @@ if [[ "${FAST}" -eq 0 ]]; then
   run_stage "ubsan"       ctest --preset ubsan
   run_stage "tsan-build"  build_preset tsan
   run_stage "tsan-spmm"   ctest --preset tsan -R spmm_equivalence_test
-  # Mega-batched explanation under TSan: the fused group shares one frozen
-  # model across the batched backward, so a race here means the freeze
-  # contract broke somewhere in the explainer loop. The flight recorder is
-  # forced on so its lock-free ring takes concurrent writes from the same
-  # run TSan is watching.
-  run_stage "tsan-megabatch" env REVELIO_FLIGHT_RECORDER=1 ctest --preset tsan -R megabatch_equivalence_test
   # Serving engine under TSan: the fault-injection suite, the equivalence
   # sweep (concurrent workers + coalescing vs batch ExplainAll), and the
   # trace-replay fixture all hammer the admission queue with concurrent
   # submitters, worker pop/coalesce loops, and mid-stream shutdown.
   run_stage "tsan-serve"  ctest --preset tsan -L serve
+  # Serving equivalence again with the flight recorder forced on: multi-worker
+  # coalesced groups each dispatch an instance-parallel ExplainBatch, so the
+  # recorder's lock-free ring takes concurrent writes from several
+  # ParallelFor regions sharing one frozen model while TSan watches.
+  run_stage "tsan-flight" env REVELIO_FLIGHT_RECORDER=1 ctest --preset tsan -R serve_equivalence_test
   # Plan replay under TSan: level-parallel step execution shares the arena
   # across pool workers, and re-record after invalidation races the global
   # plan version bump; both must stay clean across thread counts.
   run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test"
-  run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|megabatch_equivalence_test|plan_equivalence_test|plan_test"
+  run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|plan_equivalence_test|plan_test"
 fi
 
 echo

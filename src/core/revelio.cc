@@ -5,20 +5,15 @@
 #include <string>
 #include <utility>
 
-#include "explain/batch_runner.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/audit.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/plan.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
 namespace revelio::core {
-
-// The mega-batch MegaBatchPlan local below shadows the plan namespace.
-namespace execplan = revelio::plan;
 
 using explain::Explanation;
 using explain::ExplanationTask;
@@ -112,9 +107,9 @@ flow::FlowSet RestrictFlows(const flow::FlowSet& flows, const gnn::LayerEdgeSet&
   return reduced;
 }
 
-// Detached readout shared by the sequential and mega-batched paths: given
-// one instance's trained parameters, fills every score field of `result`
-// (whose `flows` must already hold the learned flow set).
+// Detached readout: given one instance's trained parameters, fills every
+// score field of `result` (whose `flows` must already hold the learned flow
+// set).
 void FinishFlowExplanation(const gnn::LayerEdgeSet& edges, const Tensor& flow_mask_params,
                            const Tensor& layer_weights, Objective objective,
                            const RevelioOptions& options,
@@ -147,20 +142,20 @@ void FinishFlowExplanation(const gnn::LayerEdgeSet& edges, const Tensor& flow_ma
   for (int l = 0; l < num_layers; ++l) result->layer_weights[l] = layer_weights.At(l, 0);
 }
 
-// Mean binary entropy (nats) of the mask probabilities in rows [begin, end)
-// of omega. Tanh masks live in [-1, 1] and map to p = (v + 1) / 2; p is
+// Mean binary entropy (nats) of the mask probabilities in omega. Tanh masks live in [-1, 1] and map to p = (v + 1) / 2; p is
 // clamped away from {0, 1} so the entropy stays finite once masks saturate.
 // Audit-only readout: every access is a detached read of trained values.
-double MeanMaskEntropy(const Tensor& omega, int begin, int end, bool tanh_masks) {
-  if (end <= begin) return 0.0;
+double MeanMaskEntropy(const Tensor& omega, bool tanh_masks) {
+  const int rows = omega.rows();
+  if (rows == 0) return 0.0;
   double total = 0.0;
-  for (int k = begin; k < end; ++k) {
+  for (int k = 0; k < rows; ++k) {
     double p = omega.At(k, 0);
     if (tanh_masks) p = 0.5 * (p + 1.0);
     p = std::min(1.0 - 1e-12, std::max(1e-12, p));
     total += -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
   }
-  return total / static_cast<double>(end - begin);
+  return total / static_cast<double>(rows);
 }
 
 void AppendRevelioAuditConfig(obs::AuditRecord* audit, const RevelioOptions& options) {
@@ -174,28 +169,38 @@ void AppendRevelioAuditConfig(obs::AuditRecord* audit, const RevelioOptions& opt
   audit->config.emplace_back("tanh_flow_masks", options.use_tanh_flow_masks ? "1" : "0");
 }
 
+// The task's flows under the max_flows budget (ResourceExhausted above it).
+util::StatusOr<flow::FlowSet> EnumerateTaskFlows(const ExplanationTask& task,
+                                                 const gnn::LayerEdgeSet& edges,
+                                                 int64_t max_flows) {
+  obs::ScopedSpan span("revelio.enumerate_flows");
+  util::StatusOr<flow::FlowSet> flows = flow::EnumerateInstanceFlows(
+      edges, task.target_node, task.model->num_layers(), max_flows);
+  obs::AuditScope::AddPhase("enumerate_flows", span.ElapsedSeconds());
+  return flows;
+}
+
 }  // namespace
 
 RevelioExplainer::FlowExplanation RevelioExplainer::ExplainFlows(const ExplanationTask& task,
                                                                  Objective objective) {
   CHECK(task.model != nullptr && task.graph != nullptr);
+  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
+  util::StatusOr<flow::FlowSet> flows = EnumerateTaskFlows(task, edges, options_.max_flows);
+  CHECK(flows.ok()) << flows.status().ToString();
+  return ExplainEnumerated(task, edges, std::move(flows).value(), objective);
+}
+
+RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
+    const ExplanationTask& task, const gnn::LayerEdgeSet& edges, flow::FlowSet enumerated,
+    Objective objective) {
   const gnn::GnnModel& model = *task.model;
   const int num_layers = model.num_layers();
-  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
 
   AppendRevelioAuditConfig(obs::AuditScope::Current(), options_);
 
   FlowExplanation result;
-  {
-    obs::ScopedSpan span("revelio.enumerate_flows");
-    if (task.is_node_task()) {
-      result.flows =
-          flow::EnumerateFlowsToTarget(edges, task.target_node, num_layers, options_.max_flows);
-    } else {
-      result.flows = flow::EnumerateAllFlows(edges, num_layers, options_.max_flows);
-    }
-    obs::AuditScope::AddPhase("enumerate_flows", span.ElapsedSeconds());
-  }
+  result.flows = std::move(enumerated);
   CHECK_GT(result.flows.num_flows(), 0);
 
   // §VI prefiltering: learn masks only for the top-k most salient flows.
@@ -227,10 +232,10 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainFlows(const Explanati
     // while running eagerly; later epochs replay it (fused + level-parallel,
     // no pool traffic) with bitwise-identical results. Retained handles read
     // this epoch's values in place after a replay.
-    const bool use_plan = execplan::ExecPlanEnabled();
-    execplan::PlanSession plan_session;
+    const bool use_plan = plan::ExecPlanEnabled();
+    plan::PlanSession plan_session;
     auto make_key = [&] {
-      return execplan::PlanKey{{task.graph->structure_version(),
+      return plan::PlanKey{{task.graph->structure_version(),
                             static_cast<uint64_t>(flows.num_flows()),
                             static_cast<uint64_t>(num_layers),
                             static_cast<uint64_t>(task.features.rows()),
@@ -248,7 +253,7 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainFlows(const Explanati
       const bool replayed = use_plan && plan_session.Replay(make_key());
       if (!replayed) {
         {
-          execplan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
+          plan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
           omega_flows = options_.use_tanh_flow_masks ? tensor::Tanh(flow_mask_params)
                                                      : tensor::Sigmoid(flow_mask_params);
           std::vector<Tensor> masks =
@@ -273,7 +278,7 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainFlows(const Explanati
       if (obs::AuditRecord* audit = obs::AuditScope::Current()) {
         audit->loss_curve.push_back(loss.At(0, 0));
         audit->mask_entropy.push_back(
-            MeanMaskEntropy(omega_flows, 0, flows.num_flows(), options_.use_tanh_flow_masks));
+            MeanMaskEntropy(omega_flows, options_.use_tanh_flow_masks));
       }
       // Legacy path: recycle this epoch's intermediates (after the first
       // epoch primes the pool's size classes the loop runs allocation-free).
@@ -290,304 +295,20 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainFlows(const Explanati
   return result;
 }
 
-std::vector<RevelioExplainer::FlowExplanation> RevelioExplainer::ExplainFlowsBatch(
-    const std::vector<const ExplanationTask*>& tasks, Objective objective) {
-  CHECK(!tasks.empty());
-  std::vector<FlowExplanation> results;
-  if (tasks.size() == 1) {
-    results.push_back(ExplainFlows(*tasks[0], objective));
-    return results;
-  }
-  util::StatusOr<explain::MegaBatchPlan> plan_or = explain::BuildMegaBatchPlan(tasks);
-  if (!plan_or.ok()) {
-    // Heterogeneous or malformed group: sequential fallback.
-    results.reserve(tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      obs::AuditScope::SetInstanceBase(i);
-      results.push_back(ExplainFlows(*tasks[i], objective));
-    }
-    obs::AuditScope::SetInstanceBase(0);
-    return results;
-  }
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    AppendRevelioAuditConfig(obs::AuditScope::Current(i), options_);
-  }
-  const explain::MegaBatchPlan& plan = plan_or.value();
-  const gnn::GnnModel& model = *tasks[0]->model;
-  const int num_layers = model.num_layers();
-  const int num_instances = plan.num_instances;
-
-  // Per-instance flow enumeration and optional prefiltering stay sequential:
-  // they are cheap relative to mask training and trivially bitwise-equal.
-  results.resize(num_instances);
-  std::vector<gnn::LayerEdgeSet> edges(num_instances);
-  {
-    obs::ScopedSpan span("revelio.enumerate_flows");
-    for (int i = 0; i < num_instances; ++i) {
-      edges[i] = gnn::BuildLayerEdges(*tasks[i]->graph);
-      results[i].flows = tasks[i]->is_node_task()
-                             ? flow::EnumerateFlowsToTarget(edges[i], tasks[i]->target_node,
-                                                            num_layers, options_.max_flows)
-                             : flow::EnumerateAllFlows(edges[i], num_layers, options_.max_flows);
-      CHECK_GT(results[i].flows.num_flows(), 0);
-    }
-    obs::AuditScope::AddPhaseAll("enumerate_flows", span.ElapsedSeconds());
-  }
-  if (options_.prefilter_top_k > 0) {
-    obs::ScopedSpan span("revelio.prefilter");
-    for (int i = 0; i < num_instances; ++i) {
-      if (options_.prefilter_top_k >= results[i].flows.num_flows()) continue;
-      const std::vector<double> saliency = InitialFlowSaliency(
-          *tasks[i], edges[i], results[i].flows, objective, options_.layer_scaling);
-      const std::vector<int> kept = flow::TopKFlows(saliency, options_.prefilter_top_k);
-      results[i].flows = RestrictFlows(results[i].flows, edges[i], kept);
-    }
-    obs::AuditScope::AddPhaseAll("prefilter", span.ElapsedSeconds());
-  }
-
-  // Concatenated learnable parameters: every instance owns a contiguous
-  // segment of the flow-mask vector and of the (B*L x 1) layer weights.
-  // Each segment is initialized from its own fresh Rng(seed), reproducing
-  // the sequential draws exactly.
-  std::vector<int> flow_offset(num_instances + 1, 0);
-  for (int i = 0; i < num_instances; ++i) {
-    flow_offset[i + 1] = flow_offset[i] + results[i].flows.num_flows();
-  }
-  const int total_flows = flow_offset[num_instances];
-  const int total_mask_rows = plan.num_mask_rows();
-
-  Tensor flow_mask_params = Tensor::Zeros(total_flows, 1);
-  {
-    std::vector<float>* values = flow_mask_params.mutable_values();
-    for (int i = 0; i < num_instances; ++i) {
-      util::Rng rng(options_.seed);
-      Tensor init = Tensor::Randn(results[i].flows.num_flows(), 1, &rng);
-      const auto& src = init.values();
-      for (size_t k = 0; k < src.size(); ++k) {
-        (*values)[static_cast<size_t>(flow_offset[i]) + k] = src[k] * 0.1f;
-      }
-    }
-  }
-  flow_mask_params.WithRequiresGrad();
-  Tensor layer_weights = Tensor::Zeros(num_instances * num_layers, 1).WithRequiresGrad();
-  nn::Adam optimizer({flow_mask_params, layer_weights}, options_.learning_rate);
-
-  // Static index plumbing reused every epoch: flow -> mega layer-edge row
-  // per layer (Eq. 5 scatter), the per-row layer-scale source, and the
-  // flow-carrying rows + instance segment ids behind the Eq. 8 regularizer.
-  //
-  // Masks are built directly in mega layer-edge order (base edges
-  // instance-major, then self-loops instance-major), so the shared
-  // SpmmCsrWeighted aggregation consumes them without a per-epoch pack
-  // permutation. Per-instance accumulation order is unchanged: within one
-  // instance the scatter/gather index lists keep their sequential order, and
-  // every destination row still belongs to exactly one instance.
-  const int mega_base_edges = plan.base_edge_offset[num_instances];
-  auto mega_row = [&plan, mega_base_edges](int i, int e) {
-    const int base = plan.instance_base_edges(i);
-    return e < base ? plan.base_edge_offset[i] + e
-                    : mega_base_edges + plan.node_offset[i] + (e - base);
-  };
-  std::vector<std::vector<int>> scatter_idx(num_layers);
-  std::vector<std::vector<int>> used_idx(num_layers);
-  std::vector<std::vector<int>> used_seg(num_layers);
-  const bool scaled = options_.layer_scaling != RevelioOptions::LayerScaling::kNone;
-  std::vector<std::vector<int>> scale_rows(scaled ? num_layers : 0);
-  std::vector<int> used_counts(num_instances, 0);
-  for (int l = 0; l < num_layers; ++l) {
-    scatter_idx[l].reserve(total_flows);
-    for (int i = 0; i < num_instances; ++i) {
-      const flow::FlowSet& flows = results[i].flows;
-      for (int e : flows.EdgesAtLayer(l)) scatter_idx[l].push_back(mega_row(i, e));
-      const std::vector<int> used = flows.UsedEdgesAtLayer(l);
-      for (int e : used) {
-        used_idx[l].push_back(mega_row(i, e));
-        used_seg[l].push_back(i);
-      }
-      used_counts[i] += static_cast<int>(used.size());
-    }
-    if (scaled) {
-      scale_rows[l].resize(total_mask_rows);
-      for (int i = 0; i < num_instances; ++i) {
-        for (int r = plan.base_edge_offset[i]; r < plan.base_edge_offset[i + 1]; ++r) {
-          scale_rows[l][r] = i * num_layers + l;
-        }
-        for (int v = plan.node_offset[i]; v < plan.node_offset[i + 1]; ++v) {
-          scale_rows[l][mega_base_edges + v] = i * num_layers + l;
-        }
-      }
-    }
-  }
-  std::vector<int> target_classes(num_instances);
-  for (int i = 0; i < num_instances; ++i) target_classes[i] = tasks[i]->target_class;
-  std::vector<float> inv_counts(num_instances);
-  for (int i = 0; i < num_instances; ++i) {
-    CHECK_GT(used_counts[i], 0) << "no flow-carrying layer edges";
-    inv_counts[i] = 1.0f / static_cast<float>(used_counts[i]);
-  }
-  const Tensor inv_count_vec = Tensor::FromData(num_instances, 1, std::move(inv_counts));
-
-  {
-    obs::ScopedSpan optimize_span("revelio.optimize");
-    static obs::Counter* steps = obs::MetricsRegistry::Global().GetCounter("megabatch.steps");
-    const std::vector<int>* node_to_graph = plan.node_task ? nullptr : &plan.batch.node_to_graph;
-    // Recorded execution plan over the fused step (DESIGN.md §12): the key
-    // folds in every instance's graph stamp plus the fused extents, so any
-    // membership or shape change forces a re-record.
-    const bool use_plan = execplan::ExecPlanEnabled();
-    execplan::PlanSession plan_session;
-    auto make_key = [&] {
-      execplan::PlanKey key;
-      key.parts = {static_cast<uint64_t>(num_instances),
-                   static_cast<uint64_t>(total_flows),
-                   static_cast<uint64_t>(total_mask_rows),
-                   static_cast<uint64_t>(num_layers),
-                   static_cast<uint64_t>(objective == Objective::kFactual ? 1 : 0),
-                   static_cast<uint64_t>(options_.use_tanh_flow_masks ? 1 : 0),
-                   static_cast<uint64_t>(options_.layer_scaling)};
-      for (int i = 0; i < num_instances; ++i) {
-        key.parts.push_back(tasks[i]->graph->structure_version());
-      }
-      return key;
-    };
-    Tensor omega_flows;
-    Tensor p;
-    Tensor regularizer;
-    Tensor loss;
-    for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-      optimizer.ZeroGrad();
-      const bool replayed = use_plan && plan_session.Replay(make_key());
-      if (!replayed) {
-        {
-          execplan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
-          omega_flows = options_.use_tanh_flow_masks ? tensor::Tanh(flow_mask_params)
-                                                     : tensor::Sigmoid(flow_mask_params);
-          Tensor scale;
-          switch (options_.layer_scaling) {
-            case RevelioOptions::LayerScaling::kExp:
-              scale = tensor::Exp(layer_weights);
-              break;
-            case RevelioOptions::LayerScaling::kSoftplus:
-              scale = tensor::Softplus(layer_weights);
-              break;
-            case RevelioOptions::LayerScaling::kNone:
-              break;
-          }
-          std::vector<Tensor> masks(num_layers);
-          for (int l = 0; l < num_layers; ++l) {
-            // Mask rows land directly in mega layer-edge order, ready for the
-            // shared SpmmCsrWeighted aggregation — no pack permutation.
-            Tensor accumulated =
-                tensor::ScatterAddRows(omega_flows, scatter_idx[l], total_mask_rows);
-            if (scale.defined()) {
-              // Per-row variant of ScaleByScalarTensor: row r of instance i
-              // scales by exp(w[i, l]), the same float product per element.
-              accumulated =
-                  tensor::RowScale(accumulated, tensor::GatherRows(scale, scale_rows[l]));
-            }
-            masks[l] = tensor::Sigmoid(accumulated);
-          }
-          Tensor logits = model.Run(plan.batch.graph, plan.mega_edges, plan.batch.features, masks,
-                                    node_to_graph, num_instances)
-                              .logits;
-          // One shared row-softmax; each instance reads its own logits row, so
-          // per-row values and gradients match the per-instance softmax bitwise.
-          Tensor probs = tensor::RowSoftmax(logits);
-          // One gather reads every instance's explained probability; the
-          // elementwise Log/Neg chain applies the same per-row float math as the
-          // sequential 1x1 ops, and Sum's backward seeds each row with exactly
-          // the 1.0 the per-instance losses receive from the sequential Add.
-          p = tensor::SelectMany(probs, plan.logit_row, target_classes);
-          Tensor objective_total =
-              tensor::Sum(objective == Objective::kFactual
-                              ? tensor::Neg(tensor::Log(p))
-                              : tensor::Neg(tensor::Log(tensor::AddScalar(tensor::Neg(p), 1.0f))));
-          // Per-instance UsedEdgeMean via segment sums: each instance's rows are
-          // contiguous and in its own layer order, so every segment reproduces
-          // the sequential Sum's double-accumulator chain bitwise.
-          Tensor used_total;
-          for (int l = 0; l < num_layers; ++l) {
-            if (used_idx[l].empty()) continue;
-            Tensor layer_sum = tensor::SegmentSumRows(tensor::GatherRows(masks[l], used_idx[l]),
-                                                      used_seg[l], num_instances);
-            used_total = used_total.defined() ? tensor::Add(used_total, layer_sum) : layer_sum;
-          }
-          regularizer = tensor::Mul(used_total, inv_count_vec);
-          if (objective == Objective::kCounterfactual) {
-            // Eq. 9 penalizes mean(1 - omega[E]).
-            regularizer = tensor::AddScalar(tensor::Neg(regularizer), 1.0f);
-          }
-          // Batched loss = sum of the per-instance losses: gradients of disjoint
-          // parameter segments never mix, so each instance trains as if alone.
-          loss = tensor::Add(objective_total,
-                             tensor::Sum(tensor::MulScalar(regularizer, options_.alpha)));
-        }
-        loss.Backward();
-        if (use_plan) plan_session.Seal(loss, make_key());
-      }
-      optimizer.Step();
-      steps->Increment();
-      if (obs::AuditScope::Current() != nullptr) {
-        // Per-instance attribution inside the fused step: instance i's loss
-        // reads back from its own probability/regularizer rows, its entropy
-        // from its contiguous flow-mask segment.
-        for (int i = 0; i < num_instances; ++i) {
-          obs::AuditRecord* audit = obs::AuditScope::Current(i);
-          if (audit == nullptr) continue;
-          const double pi =
-              std::min(1.0 - 1e-12, std::max(1e-12, static_cast<double>(p.At(i, 0))));
-          const double objective_i =
-              objective == Objective::kFactual ? -std::log(pi) : -std::log(1.0 - pi);
-          audit->loss_curve.push_back(objective_i +
-                                      options_.alpha * regularizer.At(i, 0));
-          audit->mask_entropy.push_back(MeanMaskEntropy(
-              omega_flows, flow_offset[i], flow_offset[i + 1], options_.use_tanh_flow_masks));
-        }
-      }
-      if (!use_plan) loss.ReleaseTape();
-    }
-    obs::AuditScope::AddPhaseAll("optimize", optimize_span.ElapsedSeconds());
-  }
-
-  obs::ScopedSpan extract_span("revelio.extract");
-  const auto& trained_flows = flow_mask_params.values();
-  const auto& trained_weights = layer_weights.values();
-  for (int i = 0; i < num_instances; ++i) {
-    std::vector<float> flow_segment(trained_flows.begin() + flow_offset[i],
-                                    trained_flows.begin() + flow_offset[i + 1]);
-    std::vector<float> weight_segment(trained_weights.begin() + i * num_layers,
-                                      trained_weights.begin() + (i + 1) * num_layers);
-    const Tensor inst_params =
-        Tensor::FromData(results[i].flows.num_flows(), 1, std::move(flow_segment));
-    const Tensor inst_weights = Tensor::FromData(num_layers, 1, std::move(weight_segment));
-    FinishFlowExplanation(edges[i], inst_params, inst_weights, objective, options_, &results[i]);
-  }
-  obs::AuditScope::AddPhaseAll("extract", extract_span.ElapsedSeconds());
-  return results;
-}
-
 Explanation RevelioExplainer::ExplainImpl(const ExplanationTask& task, Objective objective) {
-  FlowExplanation flow_explanation = ExplainFlows(task, objective);
   Explanation explanation;
+  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
+  util::StatusOr<flow::FlowSet> flows = EnumerateTaskFlows(task, edges, options_.max_flows);
+  if (!flows.ok()) {
+    explanation.status = flows.status();
+    return explanation;
+  }
+  FlowExplanation flow_explanation =
+      ExplainEnumerated(task, edges, std::move(flows).value(), objective);
   explanation.edge_scores = std::move(flow_explanation.edge_scores);
   explanation.has_flow_scores = true;
   explanation.flow_scores = std::move(flow_explanation.flow_scores);
   return explanation;
-}
-
-std::vector<Explanation> RevelioExplainer::ExplainBatchImpl(
-    const std::vector<const ExplanationTask*>& tasks, Objective objective) {
-  std::vector<FlowExplanation> flow_results = ExplainFlowsBatch(tasks, objective);
-  std::vector<Explanation> explanations;
-  explanations.reserve(flow_results.size());
-  for (FlowExplanation& flow_explanation : flow_results) {
-    Explanation explanation;
-    explanation.edge_scores = std::move(flow_explanation.edge_scores);
-    explanation.has_flow_scores = true;
-    explanation.flow_scores = std::move(flow_explanation.flow_scores);
-    explanations.push_back(std::move(explanation));
-  }
-  return explanations;
 }
 
 }  // namespace revelio::core

@@ -32,7 +32,7 @@ struct RevelioOptions {
   int epochs = 150;              // paper default: 500 (use --full benches for that)
   float learning_rate = 0.01f;   // paper: 1e-2
   float alpha = 0.05f;           // sparsity strength, adapted per dataset in the paper
-  int64_t max_flows = 500'000;   // feasibility cap; pre-screen with CountFlowsToTarget
+  int64_t max_flows = 500'000;   // feasibility cap; larger tasks yield ResourceExhausted
   uint64_t seed = 7;
   // Ablation switches (bench_ablation_design):
   bool use_tanh_flow_masks = true;    // false -> sigmoid (paper argues tanh is better)
@@ -62,21 +62,10 @@ class RevelioExplainer : public explain::Explainer {
     std::vector<double> edge_scores;  // per base edge
     std::vector<double> layer_weights;  // learned w (length L)
   };
+  // The task must enumerate to at most options().max_flows flows (ExplainImpl
+  // pre-screens and answers ResourceExhausted instead).
   FlowExplanation ExplainFlows(const explain::ExplanationTask& task,
                                explain::Objective objective);
-
-  // Mega-batched variant over a group of tasks sharing one (frozen) model:
-  // the group's computation subgraphs fuse into a block-diagonal mega-graph
-  // and train with one shared forward/backward per Adam step. Per-instance
-  // masks stay independent variables, the batched loss is the sum of the
-  // per-instance losses, and every result is bitwise-equal to ExplainFlows
-  // on the same task (see explain/batch_runner.h). Groups the plan builder
-  // rejects fall back to the sequential loop internally.
-  std::vector<FlowExplanation> ExplainFlowsBatch(
-      const std::vector<const explain::ExplanationTask*>& tasks,
-      explain::Objective objective);
-
-  bool supports_megabatch() const override { return true; }
 
   const RevelioOptions& options() const { return options_; }
   void set_alpha(float alpha) { options_.alpha = alpha; }
@@ -84,11 +73,13 @@ class RevelioExplainer : public explain::Explainer {
  protected:
   explain::Explanation ExplainImpl(const explain::ExplanationTask& task,
                                    explain::Objective objective) override;
-  std::vector<explain::Explanation> ExplainBatchImpl(
-      const std::vector<const explain::ExplanationTask*>& tasks,
-      explain::Objective objective) override;
 
  private:
+  // Mask training and readout over the task's enumerated flows.
+  FlowExplanation ExplainEnumerated(const explain::ExplanationTask& task,
+                                    const gnn::LayerEdgeSet& edges, flow::FlowSet enumerated,
+                                    explain::Objective objective);
+
   RevelioOptions options_;
 };
 

@@ -4,7 +4,6 @@
 
 #include "core/revelio.h"
 #include "eval/metrics.h"
-#include "explain/batch_runner.h"
 #include "explain/deeplift.h"
 #include "explain/flowx.h"
 #include "explain/gnnexplainer.h"
@@ -21,7 +20,6 @@
 #include "obs/trace.h"
 #include "tensor/bf16.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace revelio::eval {
 
@@ -264,61 +262,6 @@ void TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared
   }
 }
 
-namespace {
-
-// The dispatch body of ExplainAll over tasks that already passed validation.
-std::vector<explain::Explanation> ExplainAllValidated(explain::Explainer* explainer,
-                                                      const std::vector<ExplanationTask>& tasks,
-                                                      Objective objective) {
-  std::vector<explain::Explanation> explanations(tasks.size());
-  explain::Explanation* out = explanations.data();
-  const ExplanationTask* in = tasks.data();
-  // Mega-batch dispatch (REVELIO_MEGABATCH, default on): consecutive tasks
-  // sharing one model fuse into groups of up to REVELIO_MEGABATCH_SIZE and
-  // train with a single forward/backward per step. Parallelism moves from
-  // instance level to kernel level inside the fused step; results stay
-  // bitwise-equal to the sequential paths below.
-  if (explain::MegaBatchEnabled() && explainer->supports_megabatch() && !tasks.empty()) {
-    const size_t group_cap = static_cast<size_t>(explain::MegaBatchSize());
-    size_t begin = 0;
-    while (begin < tasks.size()) {
-      size_t end = begin + 1;
-      while (end < tasks.size() && end - begin < group_cap &&
-             tasks[end].model == tasks[begin].model) {
-        ++end;
-      }
-      std::vector<const ExplanationTask*> group;
-      group.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) group.push_back(&tasks[i]);
-      std::vector<explain::Explanation> batch = explainer->ExplainBatch(group, objective);
-      CHECK_EQ(batch.size(), group.size());
-      for (size_t i = 0; i < batch.size(); ++i) out[begin + i] = std::move(batch[i]);
-      begin = end;
-    }
-    return explanations;
-  }
-  if (!explainer->thread_safe_explain()) {
-    for (size_t i = 0; i < tasks.size(); ++i) out[i] = explainer->Explain(in[i], objective);
-    return explanations;
-  }
-  // One slot per instance, one writer per slot; each Explain call is
-  // deterministic on its own, so the result does not depend on the thread
-  // count. Tensor ops inside Explain detect the enclosing region and run
-  // serially (instance-level parallelism wins over kernel-level). Each worker
-  // thread keeps its own tensor pool (thread-local, no locking), so the first
-  // instance a worker handles primes its size classes and the rest of its
-  // share runs allocation-free.
-  util::ParallelFor(0, static_cast<int64_t>(tasks.size()), 1,
-                    [explainer, out, in, objective](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        out[i] = explainer->Explain(in[i], objective);
-                      }
-                    });
-  return explanations;
-}
-
-}  // namespace
-
 std::vector<explain::Explanation> ExplainAll(explain::Explainer* explainer,
                                              const std::vector<ExplanationTask>& tasks,
                                              Objective objective) {
@@ -326,25 +269,23 @@ std::vector<explain::Explanation> ExplainAll(explain::Explainer* explainer,
   std::vector<explain::Explanation> explanations(tasks.size());
   // Per-task admission: a task that fails validation gets the error parked in
   // its (index-aligned) result slot instead of aborting the whole batch. The
-  // remaining tasks compact and run through the unchanged dispatch paths —
-  // grouping of the compacted run may differ from the original batch, which
-  // is fine because results never depend on grouping (megabatch contract).
-  std::vector<ExplanationTask> valid;
+  // remaining tasks run through ExplainBatch, whose results never depend on
+  // which tasks share the batch.
+  std::vector<const ExplanationTask*> valid;
   std::vector<size_t> valid_index;
   valid.reserve(tasks.size());
   valid_index.reserve(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     util::Status status = explain::ValidateExplanationTask(tasks[i]);
     if (status.ok()) {
-      valid.push_back(tasks[i]);
+      valid.push_back(&tasks[i]);
       valid_index.push_back(i);
     } else {
       explanations[i].status = std::move(status);
     }
   }
   if (valid.empty()) return explanations;
-  std::vector<explain::Explanation> results =
-      ExplainAllValidated(explainer, valid, objective);
+  std::vector<explain::Explanation> results = explainer->ExplainBatch(valid, objective);
   for (size_t j = 0; j < results.size(); ++j) {
     explanations[valid_index[j]] = std::move(results[j]);
   }

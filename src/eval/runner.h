@@ -96,9 +96,10 @@ void TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared
 
 // --- Protocols -----------------------------------------------------------------
 
-// Explains every task with a shared explainer, concurrently across instances
-// when the explainer reports thread_safe_explain() (requires the model to be
-// frozen, which PrepareModel does after training). Results are index-aligned
+// Explains every task with a shared explainer through Explainer::ExplainBatch:
+// concurrently across instances when the explainer reports
+// thread_safe_explain() (requires the model to be frozen, which PrepareModel
+// does after training). Results are index-aligned
 // with `tasks` and identical to the serial loop for any thread count. A task
 // that fails ValidateExplanationTask does not abort the batch: its slot
 // carries the error in Explanation::status (empty scores) and every other

@@ -1,6 +1,7 @@
 #include "explain/explainer.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "nn/loss.h"
 #include "obs/audit.h"
@@ -8,6 +9,7 @@
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "tensor/pool.h"
+#include "util/parallel.h"
 
 namespace revelio::explain {
 
@@ -36,10 +38,9 @@ void FillAuditResult(obs::AuditRecord* record, const Explanation& result) {
 }
 
 void FillAuditCall(obs::AuditRecord* record, const std::string& method, Objective objective,
-                   bool megabatched, const tensor::PoolStats& pool_delta, double wall_seconds) {
+                   const tensor::PoolStats& pool_delta, double wall_seconds) {
   record->method = method;
   record->objective = ObjectiveName(objective);
-  record->megabatched = megabatched;
   record->pool_hits = pool_delta.hits;
   record->pool_misses = pool_delta.misses;
   record->wall_seconds = wall_seconds;
@@ -64,59 +65,38 @@ Explanation Explainer::Explain(const ExplanationTask& task, Objective objective)
   // is trimmed back to its high-water mark, so repeated explanations reuse
   // the same buffers instead of growing the retained set.
   tensor::MemoryScope pool_scope("explain");
-  obs::AuditScope audit(1);
+  obs::AuditScope audit;
   if (!audit.active()) return ExplainImpl(task, objective);
 
-  FillAuditTaskShape(audit.record(0), task);
+  FillAuditTaskShape(audit.record(), task);
   Explanation result = ExplainImpl(task, objective);
-  FillAuditResult(audit.record(0), result);
-  FillAuditCall(audit.record(0), name(), objective, /*megabatched=*/false, pool_scope.Delta(),
-                span.ElapsedSeconds());
-  audit.SubmitAll();
+  FillAuditResult(audit.record(), result);
+  FillAuditCall(audit.record(), name(), objective, pool_scope.Delta(), span.ElapsedSeconds());
+  audit.Submit();
   return result;
 }
 
 std::vector<Explanation> Explainer::ExplainBatch(const std::vector<const ExplanationTask*>& tasks,
                                                  Objective objective) {
-  obs::ScopedSpan span(obs::Enabled() || obs::FlightEnabled() ? "explain." + name()
-                                                              : std::string());
-  static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("explain.calls");
-  static obs::Counter* groups = obs::MetricsRegistry::Global().GetCounter("megabatch.groups");
-  static obs::Counter* instances =
-      obs::MetricsRegistry::Global().GetCounter("megabatch.instances");
-  calls->Add(tasks.size());
-  groups->Increment();
-  instances->Add(tasks.size());
-  tensor::MemoryScope pool_scope("explain");
-  obs::AuditScope audit(tasks.size());
-  if (!audit.active()) return ExplainBatchImpl(tasks, objective);
-
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i] != nullptr) FillAuditTaskShape(audit.record(i), *tasks[i]);
+  for (const ExplanationTask* task : tasks) CHECK(task != nullptr);
+  std::vector<Explanation> results(tasks.size());
+  // A lone task stays on the calling thread so its tensor kernels keep their
+  // own parallelism; methods with per-call mutable state run one at a time.
+  if (tasks.size() == 1 || !thread_safe_explain()) {
+    for (size_t i = 0; i < tasks.size(); ++i) results[i] = Explain(*tasks[i], objective);
+    return results;
   }
-  std::vector<Explanation> results = ExplainBatchImpl(tasks, objective);
-  const tensor::PoolStats pool_delta = pool_scope.Delta();
-  const double wall_seconds = span.ElapsedSeconds();
-  for (size_t i = 0; i < results.size() && i < tasks.size(); ++i) {
-    FillAuditResult(audit.record(i), results[i]);
-    FillAuditCall(audit.record(i), name(), objective, /*megabatched=*/tasks.size() > 1,
-                  pool_delta, wall_seconds);
-  }
-  audit.SubmitAll();
-  return results;
-}
-
-std::vector<Explanation> Explainer::ExplainBatchImpl(
-    const std::vector<const ExplanationTask*>& tasks, Objective objective) {
-  std::vector<Explanation> results;
-  results.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    CHECK(tasks[i] != nullptr);
-    // Point single-instance audit hooks (Current(0)) at this task's record.
-    obs::AuditScope::SetInstanceBase(i);
-    results.push_back(ExplainImpl(*tasks[i], objective));
-  }
-  obs::AuditScope::SetInstanceBase(0);
+  // One slot per instance, one writer per slot. Tensor ops inside Explain
+  // detect the enclosing region and run serially (instance-level parallelism
+  // wins over kernel-level). Each worker thread keeps its own tensor pool, so
+  // the first instance a worker handles primes its size classes and the rest
+  // of its share runs allocation-free.
+  Explanation* out = results.data();
+  const ExplanationTask* const* in = tasks.data();
+  util::ParallelFor(0, static_cast<int64_t>(tasks.size()), 1,
+                    [this, out, in, objective](int64_t begin, int64_t end) {
+                      for (int64_t i = begin; i < end; ++i) out[i] = Explain(*in[i], objective);
+                    });
   return results;
 }
 
@@ -137,6 +117,14 @@ util::Status ValidateExplanationTask(const ExplanationTask& task) {
     return util::Status::InvalidArgument(
         "feature dim " + std::to_string(task.features.cols()) + " != model input_dim " +
         std::to_string(config.input_dim));
+  }
+  const std::vector<float>& values = task.features.values();
+  for (size_t k = 0; k < values.size(); ++k) {
+    if (!std::isfinite(values[k])) {
+      return util::Status::InvalidArgument(
+          "feature (" + std::to_string(k / config.input_dim) + ", " +
+          std::to_string(k % config.input_dim) + ") is not finite");
+    }
   }
   const bool node_task = config.task == gnn::TaskType::kNodeClassification;
   if (node_task != task.is_node_task()) {

@@ -76,41 +76,34 @@ class Explainer {
 
   // True when concurrent Explain() calls on this object are safe (no mutable
   // per-call state shared across calls; the model must be frozen). Methods
-  // with stateful members (RandomExplainer's RNG) override to false and the
-  // harness falls back to the serial per-instance loop.
+  // with stateful members (RandomExplainer's RNG) override to false and
+  // ExplainBatch falls back to the serial per-task loop.
   virtual bool thread_safe_explain() const { return true; }
 
-  // True when the method can train a whole group of tasks as one mega-batched
-  // optimization over a block-diagonal mega-graph (explain/batch_runner.h).
-  // Methods that return true must override ExplainBatchImpl and guarantee the
-  // batched result is bitwise-equal to calling Explain per task.
-  virtual bool supports_megabatch() const { return false; }
-
-  // Shared entry point: opens the "explain.<name()>" telemetry span and
-  // counts the call, then dispatches to ExplainImpl. Non-virtual so every
-  // method is instrumented uniformly regardless of call site.
+  // Shared entry point: opens the "explain.<name()>" telemetry span, counts
+  // the call and emits one audit record, then dispatches to ExplainImpl.
+  // Non-virtual so every method is instrumented uniformly regardless of call
+  // site.
   Explanation Explain(const ExplanationTask& task, Objective objective);
 
-  // Batched entry point: instruments the group (same span name as Explain,
-  // plus megabatch counters) and dispatches to ExplainBatchImpl. Results are
-  // index-parallel to `tasks`. All tasks must share the same model.
+  // Batched entry point: one Explain per task, index-parallel to `tasks`.
+  // Tasks run side by side (util::ParallelFor, one instance per slot) when
+  // thread_safe_explain() holds, serially otherwise; a one-task batch runs
+  // on the calling thread so its kernels keep their own parallelism. Each
+  // Explain is deterministic on its own, so results are bitwise-equal to the
+  // per-task loop at any thread count.
   std::vector<Explanation> ExplainBatch(const std::vector<const ExplanationTask*>& tasks,
                                         Objective objective);
 
  protected:
   virtual Explanation ExplainImpl(const ExplanationTask& task, Objective objective) = 0;
-
-  // Default: the sequential per-task loop. Methods with supports_megabatch()
-  // override this with a fused forward/backward over the whole group.
-  virtual std::vector<Explanation> ExplainBatchImpl(
-      const std::vector<const ExplanationTask*>& tasks, Objective objective);
 };
 
 // Validates a task before it reaches an explainer: null model/graph, an empty
 // graph, a feature matrix whose shape disagrees with the graph or the model's
-// input_dim, or an out-of-range target node/class all yield kInvalidArgument
-// instead of a CHECK-abort deep inside the method. Degenerate-but-valid tasks
-// (single node, zero edges) pass.
+// input_dim, a NaN/Inf feature, or an out-of-range target node/class all
+// yield kInvalidArgument instead of a CHECK-abort (or NaN scores) deep inside
+// the method. Degenerate-but-valid tasks (single node, zero edges) pass.
 util::Status ValidateExplanationTask(const ExplanationTask& task);
 
 // Makes a differentiable clone of the task's feature matrix (leaf).

@@ -82,13 +82,16 @@ std::vector<double> FlowXExplainer::SampleShapleyScores(const ExplanationTask& t
 Explanation FlowXExplainer::ExplainImpl(const ExplanationTask& task, Objective objective) {
   const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
   const int num_layers = task.model->num_layers();
-  flow::FlowSet flows = [&] {
+  util::StatusOr<flow::FlowSet> enumerated = [&] {
     obs::ScopedSpan span("flowx.enumerate");
-    return task.is_node_task()
-               ? flow::EnumerateFlowsToTarget(edges, task.target_node, num_layers,
-                                              options_.max_flows)
-               : flow::EnumerateAllFlows(edges, num_layers, options_.max_flows);
+    return flow::EnumerateInstanceFlows(edges, task.target_node, num_layers, options_.max_flows);
   }();
+  if (!enumerated.ok()) {
+    Explanation explanation;
+    explanation.status = enumerated.status();
+    return explanation;
+  }
+  const flow::FlowSet& flows = enumerated.value();
 
   // Stage 1: sampled Shapley initialization.
   std::vector<double> initial = [&] {

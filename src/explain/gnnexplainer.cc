@@ -6,19 +6,14 @@
 #include <string>
 #include <utility>
 
-#include "explain/batch_runner.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/audit.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/plan.h"
 #include "tensor/ops.h"
 
 namespace revelio::explain {
-
-// The mega-batch MegaBatchPlan local below shadows the plan namespace.
-namespace execplan = revelio::plan;
 
 using tensor::Tensor;
 
@@ -35,17 +30,18 @@ Tensor ExpandToLayerEdges(const Tensor& base_mask, const gnn::LayerEdgeSet& edge
   return tensor::Add(expanded, Tensor::FromVector(self_ones));
 }
 
-// Mean binary entropy (nats) of the sigmoid mask rows [begin, end), clamped
-// away from {0, 1} so saturated masks stay finite. Audit-only readout.
-double MeanSigmoidMaskEntropy(const Tensor& mask, int begin, int end) {
-  if (end <= begin) return 0.0;
+// Mean binary entropy (nats) of the sigmoid mask rows, clamped away from
+// {0, 1} so saturated masks stay finite. Audit-only readout.
+double MeanSigmoidMaskEntropy(const Tensor& mask) {
+  const int rows = mask.rows();
+  if (rows == 0) return 0.0;
   double total = 0.0;
-  for (int e = begin; e < end; ++e) {
+  for (int e = 0; e < rows; ++e) {
     const double p =
         std::min(1.0 - 1e-12, std::max(1e-12, static_cast<double>(mask.At(e, 0))));
     total += -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
   }
-  return total / static_cast<double>(end - begin);
+  return total / static_cast<double>(rows);
 }
 
 void AppendGnnExplainerAuditConfig(obs::AuditRecord* audit, const GnnExplainerOptions& options) {
@@ -75,16 +71,16 @@ Explanation GnnExplainerMethod::ExplainImpl(const ExplanationTask& task, Objecti
   obs::ScopedSpan optimize_span("gnnexplainer.optimize");
   // Recorded execution plan (DESIGN.md §12): epoch 0 records while running
   // eagerly; later epochs replay the tape bitwise-identically.
-  const bool use_plan = execplan::ExecPlanEnabled();
-  execplan::PlanSession plan_session;
+  const bool use_plan = plan::ExecPlanEnabled();
+  plan::PlanSession plan_session;
   auto make_key = [&] {
-    return execplan::PlanKey{{task.graph->structure_version(),
-                              static_cast<uint64_t>(num_base),
-                              static_cast<uint64_t>(task.features.rows()),
-                              static_cast<uint64_t>(task.features.cols()),
-                              static_cast<uint64_t>(task.logit_row()),
-                              static_cast<uint64_t>(task.target_class),
-                              static_cast<uint64_t>(objective == Objective::kFactual ? 1 : 0)}};
+    return plan::PlanKey{{task.graph->structure_version(),
+                          static_cast<uint64_t>(num_base),
+                          static_cast<uint64_t>(task.features.rows()),
+                          static_cast<uint64_t>(task.features.cols()),
+                          static_cast<uint64_t>(task.logit_row()),
+                          static_cast<uint64_t>(task.target_class),
+                          static_cast<uint64_t>(objective == Objective::kFactual ? 1 : 0)}};
   };
   Tensor base_mask;
   Tensor loss;
@@ -93,7 +89,7 @@ Explanation GnnExplainerMethod::ExplainImpl(const ExplanationTask& task, Objecti
     const bool replayed = use_plan && plan_session.Replay(make_key());
     if (!replayed) {
       {
-        execplan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
+        plan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
         base_mask = tensor::Sigmoid(mask_params);
         Tensor layer_mask = ExpandToLayerEdges(base_mask, edges);
         std::vector<Tensor> masks(model.num_layers(), layer_mask);
@@ -122,7 +118,7 @@ Explanation GnnExplainerMethod::ExplainImpl(const ExplanationTask& task, Objecti
     optimizer.Step();
     if (obs::AuditRecord* audit = obs::AuditScope::Current()) {
       audit->loss_curve.push_back(loss.At(0, 0));
-      audit->mask_entropy.push_back(MeanSigmoidMaskEntropy(base_mask, 0, num_base));
+      audit->mask_entropy.push_back(MeanSigmoidMaskEntropy(base_mask));
     }
     // Legacy path: each epoch's intermediates go back to the tensor pool (the
     // plan path keeps the tape pinned for replay instead).
@@ -138,187 +134,6 @@ Explanation GnnExplainerMethod::ExplainImpl(const ExplanationTask& task, Objecti
     explanation.edge_scores[e] = objective == Objective::kFactual ? value : 1.0 - value;
   }
   return explanation;
-}
-
-std::vector<Explanation> GnnExplainerMethod::ExplainBatchImpl(
-    const std::vector<const ExplanationTask*>& tasks, Objective objective) {
-  CHECK(!tasks.empty());
-  std::vector<Explanation> explanations;
-  if (tasks.size() == 1) {
-    explanations.push_back(ExplainImpl(*tasks[0], objective));
-    return explanations;
-  }
-  util::StatusOr<MegaBatchPlan> plan_or = BuildMegaBatchPlan(tasks);
-  if (!plan_or.ok()) {
-    // Heterogeneous or malformed group: sequential fallback.
-    explanations.reserve(tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      obs::AuditScope::SetInstanceBase(i);
-      explanations.push_back(ExplainImpl(*tasks[i], objective));
-    }
-    obs::AuditScope::SetInstanceBase(0);
-    return explanations;
-  }
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    AppendGnnExplainerAuditConfig(obs::AuditScope::Current(i), options_);
-  }
-  const MegaBatchPlan& plan = plan_or.value();
-  const gnn::GnnModel& model = *tasks[0]->model;
-  const int num_layers = model.num_layers();
-  const int num_instances = plan.num_instances;
-  const int total_mask_rows = plan.num_mask_rows();
-
-  // Concatenated base-edge mask parameters: instance i owns the contiguous
-  // segment [base_offset[i], base_offset[i+1]), initialized from its own
-  // fresh Rng(seed) — the sequential draws exactly.
-  std::vector<int> base_offset(num_instances + 1, 0);
-  for (int i = 0; i < num_instances; ++i) {
-    const int num_base = plan.instance_base_edges(i);
-    CHECK_GT(num_base, 0);
-    base_offset[i + 1] = base_offset[i] + num_base;
-  }
-  const int total_base = base_offset[num_instances];
-
-  Tensor mask_params = Tensor::Zeros(total_base, 1);
-  {
-    std::vector<float>* values = mask_params.mutable_values();
-    for (int i = 0; i < num_instances; ++i) {
-      util::Rng rng(options_.seed);
-      Tensor init = Tensor::Randn(plan.instance_base_edges(i), 1, &rng);
-      const auto& src = init.values();
-      for (size_t k = 0; k < src.size(); ++k) {
-        (*values)[static_cast<size_t>(base_offset[i]) + k] = src[k] * 0.1f;
-      }
-    }
-  }
-  mask_params.WithRequiresGrad();
-  nn::Adam optimizer({mask_params}, options_.learning_rate);
-
-  // The concatenated base-edge parameter order IS the mega base-edge order
-  // (both are instance-major prefix sums of instance_base_edges), so the
-  // layer mask is built directly in mega layer-edge rows: an identity
-  // scatter places the base masks in the mega base section and every row of
-  // the mega self-loop section [total_base, total_mask_rows) is pinned at 1.
-  // No per-epoch pack permutation is needed.
-  std::vector<int> base_to_mask_row(total_base);
-  std::iota(base_to_mask_row.begin(), base_to_mask_row.end(), 0);
-  std::vector<int> base_seg(total_base);
-  std::vector<float> self_ones(total_mask_rows, 0.0f);
-  for (int r = total_base; r < total_mask_rows; ++r) self_ones[r] = 1.0f;
-  std::vector<float> inv_base(num_instances);
-  std::vector<int> target_classes(num_instances);
-  for (int i = 0; i < num_instances; ++i) {
-    const int num_base = plan.instance_base_edges(i);
-    for (int e = 0; e < num_base; ++e) base_seg[base_offset[i] + e] = i;
-    inv_base[i] = 1.0f / static_cast<float>(num_base);
-    target_classes[i] = tasks[i]->target_class;
-  }
-  const Tensor inv_base_vec = Tensor::FromData(num_instances, 1, std::move(inv_base));
-  const std::vector<int>* node_to_graph = plan.node_task ? nullptr : &plan.batch.node_to_graph;
-  static obs::Counter* steps = obs::MetricsRegistry::Global().GetCounter("megabatch.steps");
-
-  obs::ScopedSpan optimize_span("gnnexplainer.optimize");
-  // Recorded execution plan over the fused step; the key folds in every
-  // instance's graph stamp so membership or shape changes force a re-record.
-  const bool use_plan = execplan::ExecPlanEnabled();
-  execplan::PlanSession plan_session;
-  auto make_key = [&] {
-    execplan::PlanKey key;
-    key.parts = {static_cast<uint64_t>(num_instances), static_cast<uint64_t>(total_base),
-                 static_cast<uint64_t>(total_mask_rows), static_cast<uint64_t>(num_layers),
-                 static_cast<uint64_t>(objective == Objective::kFactual ? 1 : 0)};
-    for (int i = 0; i < num_instances; ++i) {
-      key.parts.push_back(tasks[i]->graph->structure_version());
-    }
-    return key;
-  };
-  Tensor base_mask;
-  Tensor p;
-  Tensor size_term;
-  Tensor entropy_term;
-  Tensor loss;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    optimizer.ZeroGrad();
-    const bool replayed = use_plan && plan_session.Replay(make_key());
-    if (!replayed) {
-      {
-        execplan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
-        base_mask = tensor::Sigmoid(mask_params);
-        Tensor layer_mask =
-            tensor::Add(tensor::ScatterAddRows(base_mask, base_to_mask_row, total_mask_rows),
-                        Tensor::FromVector(self_ones));
-        std::vector<Tensor> masks(num_layers, layer_mask);
-        Tensor logits =
-            model.Run(plan.batch.graph, plan.mega_edges, plan.batch.features, masks, node_to_graph,
-                      num_instances)
-                .logits;
-
-        // One shared row-softmax; each instance reads its own logits row. One
-        // gather then reads every instance's explained probability; the
-        // elementwise Log/Neg chain applies the same per-row float math as the
-        // sequential 1x1 ops, and Sum's backward seeds each row with exactly 1.
-        Tensor probs = tensor::RowSoftmax(logits);
-        p = tensor::SelectMany(probs, plan.logit_row, target_classes);
-        loss =
-            tensor::Sum(objective == Objective::kFactual
-                            ? tensor::Neg(tensor::Log(p))
-                            : tensor::Neg(tensor::Log(tensor::AddScalar(tensor::Neg(p), 1.0f))));
-        // Per-instance size and entropy means via segment sums over the
-        // contiguous parameter segments (bitwise-equal to per-instance Mean).
-        Tensor size_source = objective == Objective::kFactual
-                                 ? base_mask
-                                 : tensor::AddScalar(tensor::Neg(base_mask), 1.0f);
-        size_term = tensor::Mul(
-            tensor::SegmentSumRows(size_source, base_seg, num_instances), inv_base_vec);
-        loss = tensor::Add(
-            loss, tensor::Sum(tensor::MulScalar(size_term, options_.size_penalty)));
-        Tensor entropy = tensor::Neg(tensor::Add(
-            tensor::Mul(base_mask, tensor::Log(base_mask)),
-            tensor::Mul(tensor::AddScalar(tensor::Neg(base_mask), 1.0f),
-                        tensor::Log(tensor::AddScalar(tensor::Neg(base_mask), 1.0f)))));
-        entropy_term = tensor::Mul(
-            tensor::SegmentSumRows(entropy, base_seg, num_instances), inv_base_vec);
-        loss = tensor::Add(
-            loss, tensor::Sum(tensor::MulScalar(entropy_term, options_.entropy_penalty)));
-      }
-      loss.Backward();
-      if (use_plan) plan_session.Seal(loss, make_key());
-    }
-    optimizer.Step();
-    steps->Increment();
-    if (obs::AuditScope::Current() != nullptr) {
-      // Per-instance attribution inside the fused step: instance i's loss
-      // reads back from its own probability and segment-mean rows, its
-      // entropy from its contiguous base-edge mask segment.
-      for (int i = 0; i < num_instances; ++i) {
-        obs::AuditRecord* audit = obs::AuditScope::Current(i);
-        if (audit == nullptr) continue;
-        const double pi =
-            std::min(1.0 - 1e-12, std::max(1e-12, static_cast<double>(p.At(i, 0))));
-        const double objective_i =
-            objective == Objective::kFactual ? -std::log(pi) : -std::log(1.0 - pi);
-        audit->loss_curve.push_back(objective_i +
-                                    options_.size_penalty * size_term.At(i, 0) +
-                                    options_.entropy_penalty * entropy_term.At(i, 0));
-        audit->mask_entropy.push_back(
-            MeanSigmoidMaskEntropy(base_mask, base_offset[i], base_offset[i + 1]));
-      }
-    }
-    if (!use_plan) loss.ReleaseTape();
-  }
-  obs::AuditScope::AddPhaseAll("optimize", optimize_span.ElapsedSeconds());
-
-  explanations.resize(num_instances);
-  Tensor final_mask = tensor::Sigmoid(mask_params);
-  for (int i = 0; i < num_instances; ++i) {
-    const int num_base = plan.instance_base_edges(i);
-    explanations[i].edge_scores.resize(num_base);
-    for (int e = 0; e < num_base; ++e) {
-      const double value = final_mask.At(base_offset[i] + e, 0);
-      explanations[i].edge_scores[e] = objective == Objective::kFactual ? value : 1.0 - value;
-    }
-  }
-  return explanations;
 }
 
 }  // namespace revelio::explain

@@ -25,16 +25,8 @@ class GnnExplainerMethod : public Explainer {
 
   std::string name() const override { return "GNNExplainer"; }
   bool supports_counterfactual() const override { return true; }
-  bool supports_megabatch() const override { return true; }
 
   Explanation ExplainImpl(const ExplanationTask& task, Objective objective) override;
-
-  // Mega-batched path (explain/batch_runner.h): one block-diagonal
-  // forward/backward per Adam step for the whole group, bitwise-equal per
-  // instance to ExplainImpl. Groups the plan builder rejects fall back to
-  // the sequential loop.
-  std::vector<Explanation> ExplainBatchImpl(const std::vector<const ExplanationTask*>& tasks,
-                                            Objective objective) override;
 
  private:
   GnnExplainerOptions options_;

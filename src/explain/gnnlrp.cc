@@ -196,12 +196,14 @@ std::vector<double> GnnLrpExplainer::ScoreFlows(const ExplanationTask& task,
 Explanation GnnLrpExplainer::ExplainImpl(const ExplanationTask& task, Objective objective) {
   (void)objective;  // GNN-LRP's original scores serve both studies.
   const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
-  flow::FlowSet flows =
-      task.is_node_task()
-          ? flow::EnumerateFlowsToTarget(edges, task.target_node, task.model->num_layers(),
-                                         options_.max_flows)
-          : flow::EnumerateAllFlows(edges, task.model->num_layers(), options_.max_flows);
   Explanation explanation;
+  util::StatusOr<flow::FlowSet> enumerated = flow::EnumerateInstanceFlows(
+      edges, task.target_node, task.model->num_layers(), options_.max_flows);
+  if (!enumerated.ok()) {
+    explanation.status = enumerated.status();
+    return explanation;
+  }
+  const flow::FlowSet& flows = enumerated.value();
   explanation.flow_scores = ScoreFlows(task, edges, flows);
   explanation.has_flow_scores = true;
   // Edge ranking uses relevance magnitude: LRP relevances are signed

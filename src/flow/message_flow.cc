@@ -63,11 +63,12 @@ void FlowSet::EnsureReverseIndex() const {
   reverse_built_ = true;
 }
 
-int64_t CountFlowsToTarget(const gnn::LayerEdgeSet& edges, int target, int num_layers) {
-  CHECK(target >= 0 && target < edges.num_nodes);
-  // paths[v] = number of walks of the processed length from v to target.
-  std::vector<int64_t> paths(edges.num_nodes, 0);
-  paths[target] = 1;
+namespace {
+
+// paths[v] starts as the number of length-0 walks from v into the target set;
+// each step extends every walk by one layer edge. Returns the total number of
+// length-`num_layers` walks, i.e. flows.
+int64_t CountWalks(const gnn::LayerEdgeSet& edges, std::vector<int64_t> paths, int num_layers) {
   for (int step = 0; step < num_layers; ++step) {
     std::vector<int64_t> next(edges.num_nodes, 0);
     for (int e = 0; e < edges.num_layer_edges(); ++e) {
@@ -80,12 +81,18 @@ int64_t CountFlowsToTarget(const gnn::LayerEdgeSet& edges, int target, int num_l
   return total;
 }
 
+}  // namespace
+
+int64_t CountFlowsToTarget(const gnn::LayerEdgeSet& edges, int target, int num_layers) {
+  CHECK(target >= 0 && target < edges.num_nodes);
+  std::vector<int64_t> paths(edges.num_nodes, 0);
+  paths[target] = 1;
+  return CountWalks(edges, std::move(paths), num_layers);
+}
+
 int64_t CountAllFlows(const gnn::LayerEdgeSet& edges, int num_layers) {
-  int64_t total = 0;
-  for (int v = 0; v < edges.num_nodes; ++v) {
-    total += CountFlowsToTarget(edges, v, num_layers);
-  }
-  return total;
+  // Every node is a target: one DP pass instead of one per node.
+  return CountWalks(edges, std::vector<int64_t>(edges.num_nodes, 1), num_layers);
 }
 
 namespace {
@@ -126,6 +133,19 @@ FlowSet EnumerateAllFlows(const gnn::LayerEdgeSet& edges, int num_layers, int64_
     EnumerateBackward(edges, v, num_layers - 1, &path, &result, max_flows);
   }
   return result;
+}
+
+util::StatusOr<FlowSet> EnumerateInstanceFlows(const gnn::LayerEdgeSet& edges, int target,
+                                               int num_layers, int64_t max_flows) {
+  const int64_t count = target >= 0 ? CountFlowsToTarget(edges, target, num_layers)
+                                    : CountAllFlows(edges, num_layers);
+  if (count > max_flows) {
+    return util::Status::ResourceExhausted(
+        "instance has " + std::to_string(count) + " message flows, over the max_flows cap of " +
+        std::to_string(max_flows));
+  }
+  return target >= 0 ? EnumerateFlowsToTarget(edges, target, num_layers, max_flows)
+                     : EnumerateAllFlows(edges, num_layers, max_flows);
 }
 
 }  // namespace revelio::flow

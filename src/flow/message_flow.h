@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gnn/layer_edges.h"
+#include "util/status.h"
 
 namespace revelio::flow {
 
@@ -83,6 +84,14 @@ FlowSet EnumerateFlowsToTarget(const gnn::LayerEdgeSet& edges, int target, int n
 // Enumerates every flow in the graph (graph classification instances).
 FlowSet EnumerateAllFlows(const gnn::LayerEdgeSet& edges, int num_layers,
                           int64_t max_flows = 2'000'000);
+
+// The flows one explanation instance trains over: those ending at `target`
+// (node tasks), or every flow when target < 0 (graph tasks). Counts them
+// with the path DP first and returns kResourceExhausted, without
+// enumerating, when there are more than `max_flows` — the Status-returning
+// entry point for request-reachable code.
+util::StatusOr<FlowSet> EnumerateInstanceFlows(const gnn::LayerEdgeSet& edges, int target,
+                                               int num_layers, int64_t max_flows);
 
 }  // namespace revelio::flow
 

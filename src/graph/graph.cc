@@ -20,11 +20,9 @@ void Graph::set_num_nodes(int n) {
   CHECK_GE(n, num_nodes_);
   num_nodes_ = n;
   // The in/out adjacency lists are sized to the old node count; leaving
-  // adjacency_built_ set would make InEdges/OutEdges on the new nodes index
+  // them marked built would make InEdges/OutEdges on the new nodes index
   // out of bounds (and miss rebuilds after later AddEdge calls).
-  adjacency_built_ = false;
-  in_csr_.reset();
-  out_csr_.reset();
+  caches_.Reset();
   structure_version_ = internal::NextGraphStructureVersion();
 }
 
@@ -33,9 +31,7 @@ int Graph::AddEdge(int src, int dst) {
   CHECK(dst >= 0 && dst < num_nodes_) << "dst " << dst << " out of range";
   CHECK_NE(src, dst) << "self-loops are not stored in the base graph";
   edges_.push_back({src, dst});
-  adjacency_built_ = false;
-  in_csr_.reset();
-  out_csr_.reset();
+  caches_.Reset();
   structure_version_ = internal::NextGraphStructureVersion();
   return static_cast<int>(edges_.size()) - 1;
 }
@@ -47,23 +43,26 @@ int Graph::AddUndirectedEdge(int u, int v) {
 }
 
 bool Graph::HasEdge(int src, int dst) const {
-  EnsureAdjacency();
-  for (int e : out_edges_[src]) {
+  std::lock_guard<std::mutex> lock(caches_.mu);
+  EnsureAdjacencyLocked();
+  for (int e : caches_.out_edges[src]) {
     if (edges_[e].dst == dst) return true;
   }
   return false;
 }
 
 const std::vector<int>& Graph::InEdges(int node) const {
-  EnsureAdjacency();
   CHECK(node >= 0 && node < num_nodes_);
-  return in_edges_[node];
+  std::lock_guard<std::mutex> lock(caches_.mu);
+  EnsureAdjacencyLocked();
+  return caches_.in_edges[node];
 }
 
 const std::vector<int>& Graph::OutEdges(int node) const {
-  EnsureAdjacency();
   CHECK(node >= 0 && node < num_nodes_);
-  return out_edges_[node];
+  std::lock_guard<std::mutex> lock(caches_.mu);
+  EnsureAdjacencyLocked();
+  return caches_.out_edges[node];
 }
 
 std::vector<int> Graph::InDegrees() const {
@@ -85,29 +84,31 @@ int Graph::MaxInDegree() const {
 }
 
 const tensor::CsrPatternRef& Graph::InCsr() const {
-  if (in_csr_ == nullptr) {
+  std::lock_guard<std::mutex> lock(caches_.mu);
+  if (caches_.in_csr == nullptr) {
     std::vector<int> rows(edges_.size());
     std::vector<int> cols(edges_.size());
     for (size_t e = 0; e < edges_.size(); ++e) {
       rows[e] = edges_[e].dst;
       cols[e] = edges_[e].src;
     }
-    in_csr_ = tensor::BuildCsrPattern(num_nodes_, num_nodes_, rows, cols);
+    caches_.in_csr = tensor::BuildCsrPattern(num_nodes_, num_nodes_, rows, cols);
   }
-  return in_csr_;
+  return caches_.in_csr;
 }
 
 const tensor::CsrPatternRef& Graph::OutCsr() const {
-  if (out_csr_ == nullptr) {
+  std::lock_guard<std::mutex> lock(caches_.mu);
+  if (caches_.out_csr == nullptr) {
     std::vector<int> rows(edges_.size());
     std::vector<int> cols(edges_.size());
     for (size_t e = 0; e < edges_.size(); ++e) {
       rows[e] = edges_[e].src;
       cols[e] = edges_[e].dst;
     }
-    out_csr_ = tensor::BuildCsrPattern(num_nodes_, num_nodes_, rows, cols);
+    caches_.out_csr = tensor::BuildCsrPattern(num_nodes_, num_nodes_, rows, cols);
   }
-  return out_csr_;
+  return caches_.out_csr;
 }
 
 Graph Graph::RemoveEdges(const std::vector<int>& removed, std::vector<int>* index_map_out) const {
@@ -136,15 +137,15 @@ std::string Graph::DebugString() const {
   return out.str();
 }
 
-void Graph::EnsureAdjacency() const {
-  if (adjacency_built_) return;
-  in_edges_.assign(num_nodes_, {});
-  out_edges_.assign(num_nodes_, {});
+void Graph::EnsureAdjacencyLocked() const {
+  if (caches_.adjacency_built) return;
+  caches_.in_edges.assign(num_nodes_, {});
+  caches_.out_edges.assign(num_nodes_, {});
   for (int e = 0; e < num_edges(); ++e) {
-    out_edges_[edges_[e].src].push_back(e);
-    in_edges_[edges_[e].dst].push_back(e);
+    caches_.out_edges[edges_[e].src].push_back(e);
+    caches_.in_edges[edges_[e].dst].push_back(e);
   }
-  adjacency_built_ = true;
+  caches_.adjacency_built = true;
 }
 
 }  // namespace revelio::graph

@@ -9,6 +9,7 @@
 // work on the augmented LayerEdgeSet built by gnn::BuildLayerEdges.
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,18 +92,39 @@ class Graph {
   std::string DebugString() const;
 
  private:
-  void EnsureAdjacency() const;
+  // Builds the in/out edge lists if needed; the caller holds caches_.mu.
+  void EnsureAdjacencyLocked() const;
 
   int num_nodes_ = 0;
   std::vector<Edge> edges_;
   uint64_t structure_version_ = internal::NextGraphStructureVersion();
 
-  // Lazily-built adjacency caches.
-  mutable bool adjacency_built_ = false;
-  mutable std::vector<std::vector<int>> in_edges_;
-  mutable std::vector<std::vector<int>> out_edges_;
-  mutable tensor::CsrPatternRef in_csr_;
-  mutable tensor::CsrPatternRef out_csr_;
+  // Lazily-built adjacency caches. Const readers may run concurrently
+  // (batched explanation shares one task graph across threads), so every
+  // cache is built and read under `mu`; a built cache is never rebuilt until
+  // a mutation (AddEdge, set_num_nodes), which must not race readers. A copy
+  // starts cold.
+  struct Caches {
+    Caches() = default;
+    Caches(const Caches&) {}
+    Caches& operator=(const Caches&) {
+      Reset();
+      return *this;
+    }
+    void Reset() {
+      adjacency_built = false;
+      in_csr.reset();
+      out_csr.reset();
+    }
+
+    std::mutex mu;
+    bool adjacency_built = false;
+    std::vector<std::vector<int>> in_edges;
+    std::vector<std::vector<int>> out_edges;
+    tensor::CsrPatternRef in_csr;
+    tensor::CsrPatternRef out_csr;
+  };
+  mutable Caches caches_;
 };
 
 // Node features + labels packaged with a graph instance.

@@ -31,8 +31,8 @@ Subgraph ExtractKHopInSubgraph(const Graph& graph, int target, int k) {
 
   // Canonical order: local node ids ascend with the global ids, independent
   // of BFS discovery incidentals (queue order, edge insertion order among
-  // equal-distance nodes). Mega-batching relies on extraction being a pure
-  // function of the (graph, target, k) triple; edges below already iterate in
+  // equal-distance nodes). Reproducible explanations rely on extraction being
+  // a pure function of the (graph, target, k) triple; edges below already iterate in
   // global edge order, so sorting the node set makes the whole Subgraph
   // canonical.
   std::sort(included.begin(), included.end());

@@ -62,12 +62,6 @@ std::string AuditRecordToJson(const AuditRecord& record) {
   writer.String(record.method);
   writer.Key("objective");
   writer.String(record.objective);
-  writer.Key("megabatched");
-  writer.Bool(record.megabatched);
-  writer.Key("group_size");
-  writer.Int(record.group_size);
-  writer.Key("instance_in_group");
-  writer.Int(record.instance_in_group);
   writer.Key("task");
   writer.BeginObject();
   writer.Key("num_nodes");
@@ -167,8 +161,10 @@ void AuditSink::Close() {
 
 void AuditSink::Submit(AuditRecord record) {
   SinkState& state = State();
-  record.record_id = state.next_record_id.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(state.mu);
+  // Stamped under the lock so ids ascend in file order even when
+  // explanations running side by side submit concurrently.
+  record.record_id = state.next_record_id.fetch_add(1, std::memory_order_relaxed);
   state.submitted.fetch_add(1, std::memory_order_relaxed);
   if (state.file != nullptr) {
     const std::string line = AuditRecordToJson(record);
@@ -186,16 +182,11 @@ uint64_t AuditSink::records_submitted() const {
 
 // --- AuditScope --------------------------------------------------------------
 
-AuditScope::AuditScope(size_t group_size) {
+AuditScope::AuditScope() {
   if (!AuditSink::Global().enabled()) return;
   if (t_scope != nullptr) return;  // nested Explain keeps feeding the outer scope
   active_ = true;
   owns_slot_ = true;
-  records_.resize(group_size == 0 ? 1 : group_size);
-  for (size_t i = 0; i < records_.size(); ++i) {
-    records_[i].instance_in_group = static_cast<int>(i);
-    records_[i].group_size = static_cast<int>(records_.size());
-  }
   t_scope = this;
 }
 
@@ -203,40 +194,17 @@ AuditScope::~AuditScope() {
   if (owns_slot_) t_scope = nullptr;
 }
 
-size_t AuditScope::group_size() const { return records_.size(); }
-
-AuditRecord* AuditScope::record(size_t i) {
-  if (!active_ || i >= records_.size()) return nullptr;
-  return &records_[i];
-}
-
-AuditRecord* AuditScope::Current(size_t i) {
-  if (t_scope == nullptr || !t_scope->active_) return nullptr;
-  return t_scope->record(t_scope->instance_base_ + i);
-}
-
-void AuditScope::SetInstanceBase(size_t base) {
-  if (t_scope == nullptr || !t_scope->active_) return;
-  t_scope->instance_base_ = base;
+AuditRecord* AuditScope::Current() {
+  return t_scope != nullptr ? t_scope->record() : nullptr;
 }
 
 void AuditScope::AddPhase(const char* name, double seconds) {
-  if (AuditRecord* record = Current(0)) record->phase_seconds.emplace_back(name, seconds);
+  if (AuditRecord* record = Current()) record->phase_seconds.emplace_back(name, seconds);
 }
 
-void AuditScope::AddPhaseAll(const char* name, double seconds) {
-  if (t_scope == nullptr || !t_scope->active_) return;
-  for (AuditRecord& record : t_scope->records_) {
-    record.phase_seconds.emplace_back(name, seconds);
-  }
-}
-
-void AuditScope::SubmitAll() {
+void AuditScope::Submit() {
   if (!active_) return;
-  for (AuditRecord& record : records_) {
-    AuditSink::Global().Submit(std::move(record));
-  }
-  records_.clear();
+  AuditSink::Global().Submit(std::move(record_));
   active_ = false;
 }
 

@@ -1,15 +1,15 @@
 #ifndef REVELIO_OBS_AUDIT_H_
 #define REVELIO_OBS_AUDIT_H_
 
-// Per-explanation audit records: every Explainer::Explain call (and every
-// instance of a mega-batched ExplainBatch) can emit one AuditRecord capturing
+// Per-explanation audit records: every Explainer::Explain call (including
+// each task of an ExplainBatch) can emit one AuditRecord capturing
 // how the explanation was produced — the loss/convergence curve, mask entropy
 // per epoch, the top-k score distribution, pool hit/miss deltas, per-phase
 // wall time, and the config that drove the run. Records are exported as JSON
 // Lines (one object per line) so long runs stream instead of buffering.
 //
 // Collection is pull-free: the non-virtual Explainer::Explain wrapper opens
-// an AuditScope; explainer internals call AuditScope::Current(i) and get
+// an AuditScope; explainer internals call AuditScope::Current() and get
 // nullptr when auditing is off (one thread-local load — no allocation, no
 // formatting). Everything the hooks do is *read-only* with respect to the
 // numerics: audit on vs off is bitwise-identical by construction, pinned by
@@ -30,14 +30,10 @@ namespace revelio::obs {
 
 struct AuditRecord {
   // Identity. `record_id` is assigned by the sink at submit time and is
-  // unique per process; `instance_in_group` is the position inside a
-  // mega-batched group (0 for sequential calls).
+  // unique per process.
   uint64_t record_id = 0;
   std::string method;
   std::string objective;
-  bool megabatched = false;
-  int group_size = 1;
-  int instance_in_group = 0;
 
   // Task shape.
   int num_nodes = 0;
@@ -55,13 +51,11 @@ struct AuditRecord {
   // scores when the method produces them, base-edge scores otherwise).
   std::vector<double> top_scores;
 
-  // Pool delta over the call. For a mega-batched group the delta is
-  // group-scoped (the fused step shares one pool), recorded on each record.
+  // Pool delta over the call (the calling thread's pool).
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
 
-  // Wall time. Phases are method-reported (enumerate/prefilter/optimize/...);
-  // for mega-batched groups each phase is the group's shared wall time.
+  // Wall time. Phases are method-reported (enumerate/prefilter/optimize/...).
   double wall_seconds = 0.0;
   std::vector<std::pair<std::string, double>> phase_seconds;
 
@@ -97,50 +91,39 @@ class AuditSink {
   AuditSink() = default;
 };
 
-// RAII collection scope for one Explain/ExplainBatch call. When the sink is
-// disabled, constructing a scope is a no-op and Current() stays nullptr, so
-// per-epoch hooks cost one thread-local load. Scopes do not nest: an
-// explainer that recursively explains (SubgraphX fidelity probes) keeps
-// writing into the outermost scope's records.
+// RAII collection scope for one Explain call, holding that call's single
+// record. When the sink is disabled, constructing a scope is a no-op and
+// Current() stays nullptr, so per-epoch hooks cost one thread-local load.
+// Scopes do not nest: an explainer that recursively explains (SubgraphX
+// fidelity probes) keeps writing into the outermost scope's record. Scopes
+// are per thread, so explanations running side by side each fill their own.
 class AuditScope {
  public:
-  explicit AuditScope(size_t group_size);
+  AuditScope();
   ~AuditScope();
   AuditScope(const AuditScope&) = delete;
   AuditScope& operator=(const AuditScope&) = delete;
 
   bool active() const { return active_; }
-  size_t group_size() const;
-  AuditRecord* record(size_t i);
+  // This scope's record, or nullptr when inactive.
+  AuditRecord* record() { return active_ ? &record_ : nullptr; }
 
-  // The (base + i)-th record of the innermost active scope on this thread, or
-  // nullptr when auditing is off. Explainer hooks use this so they need no
-  // plumbing: a fused batch step passes its own instance index, a
-  // single-instance optimizer passes nothing.
-  static AuditRecord* Current(size_t i = 0);
+  // The record of the active scope on this thread, or nullptr when auditing
+  // is off. Explainer hooks use this so they need no plumbing.
+  static AuditRecord* Current();
 
-  // Shifts Current(i) to record(base + i). The sequential fallback loop in
-  // Explainer::ExplainBatchImpl sets this before each per-task ExplainImpl so
-  // single-instance hooks (which always pass i = 0) land on the right record.
-  static void SetInstanceBase(size_t base);
-
-  // Appends a phase timing to the current instance's record (no-op when
-  // auditing is off). A single-instance optimizer reports its own phases.
+  // Appends a phase timing to the current record (no-op when auditing is
+  // off).
   static void AddPhase(const char* name, double seconds);
 
-  // Appends a phase timing to every record of the scope: a fused mega-batch
-  // step's phases are shared by the whole group.
-  static void AddPhaseAll(const char* name, double seconds);
-
-  // Submits every record of this scope to the sink now (called by the
-  // Explain wrapper after it finishes stamping totals).
-  void SubmitAll();
+  // Submits the record to the sink now (called by the Explain wrapper after
+  // it finishes stamping totals).
+  void Submit();
 
  private:
   bool active_ = false;
   bool owns_slot_ = false;
-  size_t instance_base_ = 0;
-  std::vector<AuditRecord> records_;
+  AuditRecord record_;
 };
 
 }  // namespace revelio::obs

@@ -30,13 +30,6 @@ bool EnvFlagDisabled(const char* name) {
   return value == "0" || value == "false" || value == "off";
 }
 
-bool EnvFlagEnabled(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
 bool KnownMethod(const std::string& method) {
   if (method == "Random") return true;
   const std::vector<std::string> names = eval::AllExplainerNames();
@@ -56,7 +49,6 @@ ServeOptions ServeOptionsFromEnv() {
   options.num_workers = EnvInt("REVELIO_SERVE_WORKERS", 1);
   options.coalesce = !EnvFlagDisabled("REVELIO_SERVE_COALESCE");
   options.coalesce_limit = EnvInt("REVELIO_SERVE_COALESCE_SIZE", 8);
-  options.legacy_loop = EnvFlagEnabled("REVELIO_SERVE_LEGACY_LOOP");
   options.default_deadline_nanos =
       static_cast<int64_t>(EnvInt("REVELIO_SERVE_DEADLINE_MS", 0)) * 1'000'000;
   return options;
@@ -271,33 +263,20 @@ void ExplanationServer::RunGroup(std::vector<std::unique_ptr<PendingRequest>> gr
   const tensor::PoolStats pool_before = ThreadPoolStats();
   const int64_t run_start = clock_->NowNanos();
 
+  std::vector<const explain::ExplanationTask*> tasks;
+  tasks.reserve(group.size());
+  for (const auto& pending : group) tasks.push_back(&pending->task);
   std::vector<explain::Explanation> results;
   {
     std::unique_lock<std::mutex> run_lock;
     if (serialize != nullptr) run_lock = std::unique_lock<std::mutex>(*serialize);
-    if (options_.legacy_loop) {
-      // Pre-serving fallback: each request goes through the batch driver one
-      // task at a time, exactly as the sequential eval loop would.
-      totals_.legacy_requests.fetch_add(group.size(), std::memory_order_relaxed);
-      results.reserve(group.size());
-      for (const auto& pending : group) {
-        std::vector<explain::ExplanationTask> one{pending->task};
-        std::vector<explain::Explanation> batch =
-            eval::ExplainAll(explainer, one, pending->request.objective);
-        results.push_back(std::move(batch[0]));
-      }
-    } else if (group.size() == 1) {
-      results.push_back(explainer->Explain(group[0]->task, objective));
-    } else {
-      std::vector<const explain::ExplanationTask*> tasks;
-      tasks.reserve(group.size());
-      for (const auto& pending : group) tasks.push_back(&pending->task);
-      results = explainer->ExplainBatch(tasks, objective);
-      totals_.coalesced_groups.fetch_add(1, std::memory_order_relaxed);
-      totals_.coalesced_instances.fetch_add(group.size(), std::memory_order_relaxed);
-      c_coalesced_groups_->Increment();
-      c_coalesced_instances_->Add(group.size());
-    }
+    results = explainer->ExplainBatch(tasks, objective);
+  }
+  if (group.size() > 1) {
+    totals_.coalesced_groups.fetch_add(1, std::memory_order_relaxed);
+    totals_.coalesced_instances.fetch_add(group.size(), std::memory_order_relaxed);
+    c_coalesced_groups_->Increment();
+    c_coalesced_instances_->Add(group.size());
   }
   CHECK_EQ(results.size(), group.size());
 
@@ -354,7 +333,7 @@ ExplanationServer::RunOnceResult ExplanationServer::RunOnce() {
 
   std::vector<std::unique_ptr<PendingRequest>> group;
   group.push_back(std::move(pending));
-  if (options_.coalesce && !options_.legacy_loop && options_.coalesce_limit > 1) {
+  if (options_.coalesce && options_.coalesce_limit > 1) {
     QueueItem next;
     while (static_cast<int>(group.size()) < options_.coalesce_limit &&
            queue_.TryPopMatching(item.coalesce_key, &next)) {
@@ -394,7 +373,7 @@ void ExplanationServer::WorkerLoop() {
     }
     std::vector<std::unique_ptr<PendingRequest>> group;
     group.push_back(std::move(pending));
-    if (options_.coalesce && !options_.legacy_loop && options_.coalesce_limit > 1) {
+    if (options_.coalesce && options_.coalesce_limit > 1) {
       QueueItem next;
       while (static_cast<int>(group.size()) < options_.coalesce_limit &&
              queue_.TryPopMatching(item.coalesce_key, &next)) {
@@ -461,7 +440,6 @@ ServerStats ExplanationServer::stats() const {
   stats.completed = totals_.completed.load(std::memory_order_relaxed);
   stats.coalesced_groups = totals_.coalesced_groups.load(std::memory_order_relaxed);
   stats.coalesced_instances = totals_.coalesced_instances.load(std::memory_order_relaxed);
-  stats.legacy_requests = totals_.legacy_requests.load(std::memory_order_relaxed);
   stats.warm_pool_hits = totals_.warm_pool_hits.load(std::memory_order_relaxed);
   stats.warm_pool_misses = totals_.warm_pool_misses.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.depth();

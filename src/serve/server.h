@@ -16,9 +16,9 @@
 //     rejection           (method, model, objective) requests
 //                              │
 //                              ▼
-//                  Explainer::ExplainBatch (PR 6 mega-batch fusion)
-//                  / Explainer::Explain / legacy eval::ExplainAll,
-//                  per-request MemoryScope + warm TensorPool reuse (PR 5)
+//                  Explainer::ExplainBatch (instance-parallel; a lone
+//                  request keeps kernel-level parallelism),
+//                  per-request MemoryScope + warm TensorPool reuse
 //
 // Responses travel back through per-request std::futures. Every request is
 // answered exactly once, with either a result or an explicit util::Status
@@ -68,16 +68,12 @@ namespace revelio::serve {
 //   REVELIO_SERVE_WORKERS        worker threads started by Start() (default 1)
 //   REVELIO_SERVE_COALESCE       "0" disables batching of same-key requests
 //   REVELIO_SERVE_COALESCE_SIZE  max requests fused per ExplainBatch (default 8)
-//   REVELIO_SERVE_LEGACY_LOOP    "1" routes every request through sequential
-//                                eval::ExplainAll (one task at a time; the
-//                                pre-serving code path, kept as the fallback)
 //   REVELIO_SERVE_DEADLINE_MS    default per-request deadline (0 = none)
 struct ServeOptions {
   size_t queue_capacity = 64;
   int num_workers = 1;
   bool coalesce = true;
   int coalesce_limit = 8;
-  bool legacy_loop = false;
   int64_t default_deadline_nanos = 0;  // applied when a request carries none
   // Requests that actually run after this many have already run count toward
   // the warm-pool steady-state totals (stats().warm_pool_*). The bench warms
@@ -111,8 +107,9 @@ struct ExplainResponse {
   double queue_seconds = 0.0;      // admission -> dequeue (server clock)
   double run_seconds = 0.0;        // explainer execution (server clock)
   int batch_size = 1;              // size of the coalesced group it ran in
-  uint64_t pool_hits = 0;          // tensor-pool delta of the serving call
-  uint64_t pool_misses = 0;        // (group totals when batch_size > 1)
+  uint64_t pool_hits = 0;          // tensor-pool delta of the serving thread
+  uint64_t pool_misses = 0;        // (a group's other instances may run on
+                                   // ParallelFor workers, outside this delta)
 };
 
 // Monotone lifetime totals. Lock-free snapshot; exact once activity quiesces.
@@ -120,14 +117,14 @@ struct ServerStats {
   uint64_t submitted = 0;
   uint64_t accepted = 0;
   uint64_t rejected_full = 0;      // bounded-queue admission rejections
-  uint64_t rejected_invalid = 0;   // unknown model/method, task validation
+  uint64_t rejected_invalid = 0;   // unknown model/method, task validation, or a
+                                   // non-Ok explanation (e.g. over max_flows)
   uint64_t rejected_shutdown = 0;  // submitted after shutdown began
   uint64_t timed_out = 0;          // deadline expired before service
   uint64_t cancelled = 0;          // dropped by Shutdown(kCancel)
   uint64_t completed = 0;          // futures fulfilled with Ok
   uint64_t coalesced_groups = 0;   // ExplainBatch calls with >= 2 requests
   uint64_t coalesced_instances = 0;
-  uint64_t legacy_requests = 0;    // served via the sequential ExplainAll path
   uint64_t warm_pool_hits = 0;     // pool hits after the warmup window
   uint64_t warm_pool_misses = 0;   // pool misses after the warmup window
   size_t queue_depth = 0;
@@ -172,7 +169,8 @@ class ExplanationServer {
   // DeadlineExceeded if it expired in the queue, otherwise runs it —
   // extended, when coalescing is on, with the consecutive run of same-
   // (method, model, objective) requests behind it (one ExplainBatch call,
-  // which mega-batches per PR 6). Returns zeros when the queue is empty.
+  // which explains the group's requests side by side). Returns zeros when
+  // the queue is empty.
   RunOnceResult RunOnce();
 
   enum class DrainMode {
@@ -232,7 +230,7 @@ class ExplanationServer {
   struct Totals {
     std::atomic<uint64_t> submitted{0}, accepted{0}, rejected_full{0}, rejected_invalid{0},
         rejected_shutdown{0}, timed_out{0}, cancelled{0}, completed{0}, coalesced_groups{0},
-        coalesced_instances{0}, legacy_requests{0}, warm_pool_hits{0}, warm_pool_misses{0};
+        coalesced_instances{0}, warm_pool_hits{0}, warm_pool_misses{0};
   };
   Totals totals_;
 

@@ -20,7 +20,7 @@ const std::vector<std::string>& RegisteredOpNames() {
       "RowSoftmax", "RowLogSoftmax",
       // Indexing / message passing.
       "GatherRows", "ScatterAddRows", "RowScale", "ConcatCols", "SegmentSoftmax",
-      "SegmentMeanRows", "SegmentSumRows", "SegmentMaxRows", "Select", "SelectMany", "NllLoss",
+      "SegmentMeanRows", "SegmentMaxRows", "Select", "NllLoss",
       // Fused sparse aggregation.
       "SpmmCsr", "SpmmCsrWeighted", "SpmmCsrMean",
   };

@@ -78,13 +78,6 @@ Tensor SegmentSoftmax(const Tensor& values, const std::vector<int>& segment_ids,
 // Used as the graph-classification readout over batched graphs.
 Tensor SegmentMeanRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments);
 
-// Sum of rows per segment: (N x C) -> (S x C). Empty segments produce zeros.
-// Each (segment, column) accumulates in a serial double accumulator scanning
-// rows in index order, so with C = 1 and a segment's rows contiguous it is
-// bitwise-equal to Sum() over that slice — the contract the mega-batched
-// explainer loss relies on for per-instance loss terms.
-Tensor SegmentSumRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments);
-
 // Column-wise max per segment: (N x C) -> (S x C). Gradient flows to the
 // argmax row of each (segment, column). Empty segments produce zeros.
 Tensor SegmentMaxRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments);
@@ -106,14 +99,6 @@ Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x);
 
 // Extracts a single element as a 1x1 tensor (differentiable).
 Tensor Select(const Tensor& a, int row, int col);
-
-// Batched Select: out[k] = a[rows[k], cols[k]] as an N x 1 tensor. Each
-// output entry applies the same float math as Select on its (row, col)
-// pair; the backward partitions over the input rows and accumulates
-// duplicate sources in index order, so results are bitwise-stable across
-// thread counts. The mega-batched explainers use this to read every
-// instance's explained probability in one op.
-Tensor SelectMany(const Tensor& a, const std::vector<int>& rows, const std::vector<int>& cols);
 
 // Mean negative log-likelihood: `log_probs` is (N x C) of log probabilities,
 // `targets` has N class indices. Returns a 1x1 loss.

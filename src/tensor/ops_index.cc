@@ -427,63 +427,6 @@ Tensor SegmentMeanRows(const Tensor& a, const std::vector<int>& segment_ids, int
   return Tensor::FromNode(out);
 }
 
-Tensor SegmentSumRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments) {
-  CHECK_EQ(a.rows(), static_cast<int>(segment_ids.size()));
-  const int cols = a.cols();
-  // Every (segment, column) slot is overwritten by its owning chunk below.
-  auto out = NewNodeUninit(num_segments, cols);
-  const float* av = a.values().data();
-  float* ov = out->values.data();
-  const int64_t rows = a.rows();
-  // Partition over destination segments (owner computes). Each (segment,
-  // column) sums through a double accumulator in row-scan order so the result
-  // matches a serial Sum over the segment's rows bitwise, at any thread count.
-  auto kernel = [av, ov, cols, rows, num_segments](const int* seg) {
-    util::ParallelFor(0, num_segments, ScatterGrain(num_segments, rows, cols),
-                      [av, ov, seg, cols, rows](int64_t sb, int64_t se) {
-                        std::vector<double> acc(static_cast<size_t>(se - sb) * cols, 0.0);
-                        for (int64_t r = 0; r < rows; ++r) {
-                          const int s = seg[r];
-                          DCHECK(s >= 0);
-                          if (s < sb || s >= se) continue;
-                          const size_t src = static_cast<size_t>(r) * cols;
-                          const size_t dst = static_cast<size_t>(s - sb) * cols;
-                          for (int c = 0; c < cols; ++c) acc[dst + c] += av[src + c];
-                        }
-                        for (int64_t s = sb; s < se; ++s) {
-                          const size_t dst = static_cast<size_t>(s) * cols;
-                          const size_t local = static_cast<size_t>(s - sb) * cols;
-                          for (int c = 0; c < cols; ++c) {
-                            ov[dst + c] = static_cast<float>(acc[local + c]);
-                          }
-                        }
-                      });
-  };
-  kernel(segment_ids.data());
-  if (rec::Recording()) {
-    rec::Record("SegmentSumRows", out, {a.node()},
-                [kernel, segment_ids]() { kernel(segment_ids.data()); });
-  }
-  AttachBackward(out, {a}, [segment_ids, cols](TensorNode* o) {
-    TensorNode* an = o->parents[0].get();
-    if (!an->requires_grad) return;
-    an->EnsureGrad();
-    const float* g = o->grad.data();
-    float* ga = an->grad.data();
-    const int* seg = segment_ids.data();
-    // Gather shape: each source row reads one segment row -> partition over r.
-    util::ParallelFor(0, an->rows, RowGrain(cols), [g, ga, seg, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const int s = seg[r];
-        const size_t src = static_cast<size_t>(s) * cols;
-        const size_t dst = static_cast<size_t>(r) * cols;
-        for (int c = 0; c < cols; ++c) ga[dst + c] += g[src + c];
-      }
-    });
-  });
-  return Tensor::FromNode(out);
-}
-
 Tensor SegmentMaxRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments) {
   CHECK_EQ(a.rows(), static_cast<int>(segment_ids.size()));
   const int cols = a.cols();
@@ -565,55 +508,6 @@ Tensor Select(const Tensor& a, int row, int col) {
     if (!an->requires_grad) return;
     an->EnsureGrad();
     an->grad[flat] += o->grad[0];
-  });
-  return Tensor::FromNode(out);
-}
-
-Tensor SelectMany(const Tensor& a, const std::vector<int>& rows, const std::vector<int>& cols) {
-  CHECK_EQ(rows.size(), cols.size());
-  const int a_rows = a.rows();
-  const int a_cols = a.cols();
-  const int64_t n = static_cast<int64_t>(rows.size());
-  for (int64_t k = 0; k < n; ++k) {
-    CHECK(rows[k] >= 0 && rows[k] < a_rows && cols[k] >= 0 && cols[k] < a_cols)
-        << "SelectMany(" << rows[k] << "," << cols[k] << ") out of range " << a_rows << "x"
-        << a_cols;
-  }
-  auto out = NewNodeUninit(static_cast<int>(n), 1);
-  const float* av = a.values().data();
-  float* ov = out->values.data();
-  auto kernel = [av, ov, a_cols, n](const int* rp, const int* cp) {
-    util::ParallelFor(0, n, RowGrain(1), [av, ov, rp, cp, a_cols](int64_t kb, int64_t ke) {
-      for (int64_t k = kb; k < ke; ++k) {
-        ov[k] = av[static_cast<size_t>(rp[k]) * a_cols + cp[k]];
-      }
-    });
-  };
-  kernel(rows.data(), cols.data());
-  if (rec::Recording()) {
-    rec::Record("SelectMany", out, {a.node()},
-                [kernel, rows, cols]() { kernel(rows.data(), cols.data()); });
-  }
-  AttachBackward(out, {a}, [rows, cols, a_rows, a_cols](TensorNode* o) {
-    TensorNode* an = o->parents[0].get();
-    if (!an->requires_grad) return;
-    an->EnsureGrad();
-    const float* g = o->grad.data();
-    float* ga = an->grad.data();
-    const int* rp = rows.data();
-    const int* cp = cols.data();
-    const int64_t n = static_cast<int64_t>(rows.size());
-    // Partition over the input's rows; each chunk scans all picks and
-    // applies the ones landing in its range, so duplicate (row, col)
-    // sources accumulate in index order for any thread count.
-    util::ParallelFor(0, a_rows, ScatterGrain(a_rows, n, 1),
-                      [g, ga, rp, cp, a_cols, n](int64_t rb, int64_t re) {
-                        for (int64_t k = 0; k < n; ++k) {
-                          const int r = rp[k];
-                          if (r < rb || r >= re) continue;
-                          ga[static_cast<size_t>(r) * a_cols + cp[k]] += g[k];
-                        }
-                      });
   });
   return Tensor::FromNode(out);
 }

@@ -150,8 +150,15 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   if (num_chunks <= 1 || tls_in_parallel_region) {
     // Serial fallback. Still marks the region so kernels called from fn do
     // not try to parallelize underneath a serial decision.
-    static obs::Counter* serial_fallbacks =
-        obs::MetricsRegistry::Global().GetCounter("parallel.serial_fallback");
+    static obs::Counter* serial_fallbacks = [] {
+      obs::Counter* counter =
+          obs::MetricsRegistry::Global().GetCounter("parallel.serial_fallback");
+      // Inside instance-parallel explanation every kernel call lands here, a
+      // tick cheaper than a flight-ring record: keep it out of the ring, as
+      // the pool's hit/miss counters are.
+      counter->DisableFlightRecording();
+      return counter;
+    }();
     serial_fallbacks->Increment();
     const bool prev = tls_in_parallel_region;
     tls_in_parallel_region = true;

@@ -6,10 +6,6 @@
 //   - loss_curve and mask_entropy the same length with every entry finite
 //     (the JSON writer nulls non-finite doubles, so a null here means an
 //     Inf/NaN leaked out of an audit hook),
-//   - instance_in_group in [0, group_size) with complete per-instance
-//     attribution: every group size observed contributes the same number of
-//     records at each instance slot (no instance silently dropped or
-//     double-counted by the mega-batched path),
 //   - record_id unique and strictly increasing down the file.
 // Exit 1 on validation failure, 2 on usage/IO errors.
 
@@ -17,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -80,8 +75,6 @@ int main(int argc, char** argv) {
   size_t line_no = 0;
   bool have_prev_id = false;
   double prev_id = -1.0;
-  // (group_size, instance_in_group) -> count, for the attribution check.
-  std::map<std::pair<long, long>, long> slot_counts;
   std::string line;
   while (std::getline(in, line)) {
     ++line_no;
@@ -97,13 +90,8 @@ int main(int argc, char** argv) {
     if (!record.is_object()) return Fail(line_no, "record is not an object"), 1;
 
     const JsonValue* record_id = FiniteNumber(record, "record_id", line_no);
-    const JsonValue* group_size = FiniteNumber(record, "group_size", line_no);
-    const JsonValue* instance = FiniteNumber(record, "instance_in_group", line_no);
     const JsonValue* wall = FiniteNumber(record, "wall_seconds", line_no);
-    if (record_id == nullptr || group_size == nullptr || instance == nullptr ||
-        wall == nullptr) {
-      return 1;
-    }
+    if (record_id == nullptr || wall == nullptr) return 1;
     const JsonValue* method = record.Find("method");
     if (method == nullptr || !method->is_string() || method->string_value.empty()) {
       return Fail(line_no, "missing non-empty string \"method\""), 1;
@@ -111,10 +99,6 @@ int main(int argc, char** argv) {
     const JsonValue* objective = record.Find("objective");
     if (objective == nullptr || !objective->is_string()) {
       return Fail(line_no, "missing string \"objective\""), 1;
-    }
-    const JsonValue* megabatched = record.Find("megabatched");
-    if (megabatched == nullptr || megabatched->type != JsonValue::Type::kBool) {
-      return Fail(line_no, "missing bool \"megabatched\""), 1;
     }
     const JsonValue* task = record.Find("task");
     if (task == nullptr || !task->is_object()) {
@@ -142,12 +126,6 @@ int main(int argc, char** argv) {
       return Fail(line_no, "loss_curve and mask_entropy lengths differ"), 1;
     }
 
-    // Identity / attribution invariants.
-    const long g = static_cast<long>(group_size->number_value);
-    const long k = static_cast<long>(instance->number_value);
-    if (g < 1) return Fail(line_no, "group_size < 1"), 1;
-    if (k < 0 || k >= g) return Fail(line_no, "instance_in_group outside [0, group_size)"), 1;
-    ++slot_counts[{g, k}];
     if (have_prev_id && record_id->number_value <= prev_id) {
       return Fail(line_no, "record_id not strictly increasing"), 1;
     }
@@ -156,19 +134,6 @@ int main(int argc, char** argv) {
     ++records;
   }
 
-  // Per-instance attribution completeness: within each group size, every
-  // instance slot must appear the same number of times.
-  for (const auto& [slot, count] : slot_counts) {
-    const auto expected = slot_counts.find({slot.first, 0});
-    if (expected == slot_counts.end() || expected->second != count) {
-      std::fprintf(stderr,
-                   "audit_jsonl_check: group_size %ld instance %ld appears %ld times, "
-                   "instance 0 appears %ld times (incomplete per-instance attribution)\n",
-                   slot.first, slot.second, count,
-                   expected == slot_counts.end() ? 0L : expected->second);
-      return 1;
-    }
-  }
   if (records < static_cast<size_t>(min_records)) {
     std::fprintf(stderr, "audit_jsonl_check: %zu records < required %ld\n", records,
                  min_records);

@@ -1,5 +1,5 @@
 // Per-explanation audit records: the in-memory sink collects one record per
-// Explain call (and one per instance of a mega-batched ExplainBatch), with
+// Explain call (and one per task of an ExplainBatch), with
 // per-epoch convergence curves, finite entropies, descending top-k scores,
 // phase timings, the driving config, and round-trippable JSON. Auditing off
 // keeps hooks inert: Current() stays nullptr and nothing is submitted.
@@ -148,9 +148,6 @@ TEST_F(AuditTest, SequentialExplainEmitsOneCompleteRecord) {
   const obs::AuditRecord& record = records[0];
   EXPECT_EQ(record.method, "Revelio");
   EXPECT_EQ(record.objective, "factual");
-  EXPECT_FALSE(record.megabatched);
-  EXPECT_EQ(record.group_size, 1);
-  EXPECT_EQ(record.instance_in_group, 0);
   EXPECT_EQ(record.num_nodes, data.graph.num_nodes());
   EXPECT_EQ(record.num_edges, data.graph.num_edges());
   EXPECT_EQ(record.target_node, data.target_node);
@@ -173,11 +170,15 @@ TEST_F(AuditTest, SequentialExplainEmitsOneCompleteRecord) {
   EXPECT_TRUE(HasConfigKey(record, "tensor_pool"));
 }
 
-TEST_F(AuditTest, MegaBatchedGroupAttributesPerInstance) {
+// ExplainBatch runs one Explain per task, so each task owns a one-record
+// audit scope: three tasks emit exactly three records, each carrying its own
+// task shape and convergence curve. At 4 threads the tasks run side by side
+// and submit in completion order, so records are matched by task shape.
+TEST_F(AuditTest, ExplainBatchEmitsOneRecordPerTask) {
   obs::AuditSink::Global().CollectInMemory();
   gnn::GnnModel model(ModelConfig());
   model.Freeze();
-  constexpr int kGroup = 5;
+  constexpr int kGroup = 3;
   std::vector<TaskData> data;
   std::vector<explain::ExplanationTask> tasks;
   for (int i = 0; i < kGroup; ++i) data.push_back(MakeNodeTaskData(kSeed + 30 + i));
@@ -185,70 +186,38 @@ TEST_F(AuditTest, MegaBatchedGroupAttributesPerInstance) {
   std::vector<const explain::ExplanationTask*> group;
   for (const auto& task : tasks) group.push_back(&task);
 
-  core::RevelioExplainer explainer(RevelioTestOptions());
-  const std::vector<explain::Explanation> batched =
-      explainer.ExplainBatch(group, explain::Objective::kFactual);
-  ASSERT_EQ(batched.size(), static_cast<size_t>(kGroup));
+  for (const int threads : {1, 4}) {
+    util::SetNumThreads(threads);
+    core::RevelioExplainer explainer(RevelioTestOptions());
+    const std::vector<explain::Explanation> batched =
+        explainer.ExplainBatch(group, explain::Objective::kFactual);
+    ASSERT_EQ(batched.size(), static_cast<size_t>(kGroup));
 
-  const std::vector<obs::AuditRecord> records = obs::AuditSink::Global().TakeRecords();
-  ASSERT_EQ(records.size(), static_cast<size_t>(kGroup));
-  for (int i = 0; i < kGroup; ++i) {
-    const obs::AuditRecord& record = records[i];
-    EXPECT_TRUE(record.megabatched) << "instance " << i;
-    EXPECT_EQ(record.group_size, kGroup);
-    EXPECT_EQ(record.instance_in_group, i);
-    // Each instance carries its own task shape and its own curves.
-    EXPECT_EQ(record.num_nodes, data[i].graph.num_nodes()) << "instance " << i;
-    EXPECT_EQ(record.num_edges, data[i].graph.num_edges()) << "instance " << i;
-    EXPECT_EQ(record.target_node, data[i].target_node) << "instance " << i;
-    ASSERT_EQ(record.loss_curve.size(), static_cast<size_t>(kEpochs)) << "instance " << i;
-    ASSERT_EQ(record.mask_entropy.size(), static_cast<size_t>(kEpochs)) << "instance " << i;
-    EXPECT_TRUE(AllFinite(record.loss_curve)) << "instance " << i;
-    EXPECT_TRUE(AllFinite(record.mask_entropy)) << "instance " << i;
-    EXPECT_TRUE(HasPhase(record, "optimize")) << "instance " << i;
-  }
-  // Distinct tasks converge differently: the per-instance curves must not be
-  // copies of instance 0's curve.
-  bool curves_differ = false;
-  for (int i = 1; i < kGroup; ++i) {
-    if (records[i].loss_curve != records[0].loss_curve) curves_differ = true;
-  }
-  EXPECT_TRUE(curves_differ) << "per-instance attribution collapsed to one curve";
-  // record_id is unique and increasing in submission order.
-  for (int i = 1; i < kGroup; ++i) {
-    EXPECT_GT(records[i].record_id, records[i - 1].record_id);
-  }
-}
-
-TEST_F(AuditTest, GnnExplainerBatchAttributesPerInstance) {
-  obs::AuditSink::Global().CollectInMemory();
-  gnn::GnnModel model(ModelConfig());
-  model.Freeze();
-  constexpr int kGroup = 3;
-  std::vector<TaskData> data;
-  std::vector<explain::ExplanationTask> tasks;
-  for (int i = 0; i < kGroup; ++i) data.push_back(MakeNodeTaskData(kSeed + 60 + i));
-  for (const TaskData& d : data) tasks.push_back(d.MakeTask(&model));
-  std::vector<const explain::ExplanationTask*> group;
-  for (const auto& task : tasks) group.push_back(&task);
-
-  explain::GnnExplainerOptions options;
-  options.epochs = kEpochs;
-  options.seed = kSeed + 3;
-  explain::GnnExplainerMethod explainer(options);
-  const std::vector<explain::Explanation> batched =
-      explainer.ExplainBatch(group, explain::Objective::kFactual);
-  ASSERT_EQ(batched.size(), static_cast<size_t>(kGroup));
-
-  const std::vector<obs::AuditRecord> records = obs::AuditSink::Global().TakeRecords();
-  ASSERT_EQ(records.size(), static_cast<size_t>(kGroup));
-  for (int i = 0; i < kGroup; ++i) {
-    EXPECT_EQ(records[i].method, "GNNExplainer");
-    EXPECT_EQ(records[i].instance_in_group, i);
-    EXPECT_EQ(records[i].num_edges, data[i].graph.num_edges()) << "instance " << i;
-    ASSERT_EQ(records[i].loss_curve.size(), static_cast<size_t>(kEpochs)) << "instance " << i;
-    EXPECT_TRUE(AllFinite(records[i].loss_curve)) << "instance " << i;
-    EXPECT_TRUE(AllFinite(records[i].mask_entropy)) << "instance " << i;
+    std::vector<obs::AuditRecord> records = obs::AuditSink::Global().TakeRecords();
+    ASSERT_EQ(records.size(), static_cast<size_t>(kGroup)) << "threads=" << threads;
+    for (size_t r = 1; r < records.size(); ++r) {
+      EXPECT_GT(records[r].record_id, records[r - 1].record_id) << "threads=" << threads;
+    }
+    std::vector<bool> matched(kGroup, false);
+    for (const obs::AuditRecord& record : records) {
+      EXPECT_EQ(record.method, "Revelio");
+      ASSERT_EQ(record.loss_curve.size(), static_cast<size_t>(kEpochs));
+      ASSERT_EQ(record.mask_entropy.size(), static_cast<size_t>(kEpochs));
+      EXPECT_TRUE(AllFinite(record.loss_curve));
+      EXPECT_TRUE(AllFinite(record.mask_entropy));
+      EXPECT_TRUE(HasPhase(record, "optimize"));
+      for (int i = 0; i < kGroup; ++i) {
+        if (!matched[i] && record.num_nodes == data[i].graph.num_nodes() &&
+            record.num_edges == data[i].graph.num_edges() &&
+            record.target_node == data[i].target_node) {
+          matched[i] = true;
+          break;
+        }
+      }
+    }
+    for (int i = 0; i < kGroup; ++i) {
+      EXPECT_TRUE(matched[i]) << "threads=" << threads << ": no record for task " << i;
+    }
   }
 }
 
@@ -257,9 +226,6 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
   record.record_id = 7;
   record.method = "Revelio";
   record.objective = "factual";
-  record.megabatched = true;
-  record.group_size = 4;
-  record.instance_in_group = 2;
   record.num_nodes = 9;
   record.num_edges = 22;
   record.target_node = 3;
@@ -280,9 +246,6 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
   ASSERT_TRUE(obs::ParseJson(json, &root, &error)) << error;
   EXPECT_EQ(root.Find("record_id")->number_value, 7.0);
   EXPECT_EQ(root.Find("method")->string_value, "Revelio");
-  EXPECT_TRUE(root.Find("megabatched")->bool_value);
-  EXPECT_EQ(root.Find("group_size")->number_value, 4.0);
-  EXPECT_EQ(root.Find("instance_in_group")->number_value, 2.0);
   const obs::JsonValue* task = root.Find("task");
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->Find("num_nodes")->number_value, 9.0);
@@ -307,21 +270,21 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
 TEST_F(AuditTest, ScopesDoNotNest) {
   obs::AuditSink::Global().CollectInMemory();
   {
-    obs::AuditScope outer(2);
+    obs::AuditScope outer;
     ASSERT_TRUE(outer.active());
-    obs::AuditScope::Current(0)->method = "outer";
+    obs::AuditScope::Current()->method = "outer";
     {
-      obs::AuditScope inner(1);  // inert: the outer scope owns the slot
+      obs::AuditScope inner;  // inert: the outer scope owns the slot
       EXPECT_FALSE(inner.active());
-      ASSERT_NE(obs::AuditScope::Current(0), nullptr);
-      EXPECT_EQ(obs::AuditScope::Current(0)->method, "outer");
+      ASSERT_NE(obs::AuditScope::Current(), nullptr);
+      EXPECT_EQ(obs::AuditScope::Current()->method, "outer");
     }
     // Inner destruction must not tear down the outer scope.
-    ASSERT_NE(obs::AuditScope::Current(0), nullptr);
-    outer.SubmitAll();
+    ASSERT_NE(obs::AuditScope::Current(), nullptr);
+    outer.Submit();
   }
   const std::vector<obs::AuditRecord> records = obs::AuditSink::Global().TakeRecords();
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].method, "outer");
 }
 

@@ -2,6 +2,9 @@
 // tensor ops, degenerate graphs, and graph-task fidelity behavior.
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,17 @@ TEST(StructuralEdgeCases, FlowEnumerationMaxFlowsGuard) {
   EXPECT_DEATH(flow::EnumerateFlowsToTarget(edges, 1, 3, count - 1), "max_flows");
   // Exactly at the bound succeeds.
   EXPECT_EQ(flow::EnumerateFlowsToTarget(edges, 1, 3, count).num_flows(), count);
+
+  // The Status-returning entry point counts first: over the budget it
+  // answers ResourceExhausted instead of aborting, for node (target >= 0)
+  // and graph (target < 0) instances alike.
+  EXPECT_EQ(flow::EnumerateInstanceFlows(edges, 1, 3, count - 1).status().code(),
+            util::StatusCode::kResourceExhausted);
+  EXPECT_EQ(flow::EnumerateInstanceFlows(edges, 1, 3, count).value().num_flows(), count);
+  const int64_t all = flow::CountAllFlows(edges, 3);
+  EXPECT_EQ(flow::EnumerateInstanceFlows(edges, -1, 3, all - 1).status().code(),
+            util::StatusCode::kResourceExhausted);
+  EXPECT_EQ(flow::EnumerateInstanceFlows(edges, -1, 3, all).value().num_flows(), all);
 }
 
 TEST(StructuralEdgeCases, GraphTaskFidelityUsesGraphProbability) {
@@ -211,6 +225,109 @@ TEST(StructuralEdgeCases, ExplainAllSurvivesAnInvalidTaskMidBatch) {
   explain::Explanation alone2 = solo->Explain(tasks[2], explain::Objective::kFactual);
   EXPECT_EQ(batch[0].edge_scores, alone0.edge_scores);
   EXPECT_EQ(batch[2].edge_scores, alone2.edge_scores);
+}
+
+// Shared fixture for the admission tests below: a frozen 2-layer GCN over
+// 3-dim features.
+std::unique_ptr<gnn::GnnModel> MakeFrozenGcn() {
+  gnn::GnnConfig config;
+  config.arch = gnn::GnnArch::kGcn;
+  config.input_dim = 3;
+  config.hidden_dim = 4;
+  config.num_classes = 2;
+  config.num_layers = 2;
+  auto model = std::make_unique<gnn::GnnModel>(config);
+  model->Freeze();
+  return model;
+}
+
+explain::ExplanationTask MakeNodeTask(const gnn::GnnModel* model, const graph::Graph* graph,
+                                      uint64_t feature_seed, int target_node) {
+  util::Rng rng(feature_seed);
+  explain::ExplanationTask task;
+  task.model = model;
+  task.graph = graph;
+  task.features = Tensor::Uniform(graph->num_nodes(), 3, -1.0f, 1.0f, &rng);
+  task.target_node = target_node;
+  task.target_class = 0;
+  return task;
+}
+
+TEST(StructuralEdgeCases, ExplainAllParksAnOverBudgetTaskAsResourceExhausted) {
+  // A task with more message flows than max_flows must come back as a
+  // ResourceExhausted slot (it used to abort inside flow enumeration), and
+  // its neighbors must still produce the same bits as explaining them alone.
+  const std::unique_ptr<gnn::GnnModel> model = MakeFrozenGcn();
+  graph::Graph ring(6);
+  for (int v = 0; v < 6; ++v) ring.AddUndirectedEdge(v, (v + 1) % 6);
+  graph::Graph complete(8);
+  for (int u = 0; u < 8; ++u) {
+    for (int v = 0; v < 8; ++v) {
+      if (u != v) complete.AddEdge(u, v);
+    }
+  }
+  eval::RunnerConfig runner_config;
+  runner_config.explainer_epochs = 4;
+  runner_config.max_flows = 50;
+  // 3 in-edges per ring node (2 neighbors + self-loop): 3^2 = 9 flows to a
+  // target; the complete graph has 8^2 = 64.
+  const gnn::LayerEdgeSet complete_edges = gnn::BuildLayerEdges(complete);
+  ASSERT_GT(flow::CountFlowsToTarget(complete_edges, 0, 2), runner_config.max_flows);
+  std::vector<explain::ExplanationTask> tasks{MakeNodeTask(model.get(), &ring, 11, 0),
+                                              MakeNodeTask(model.get(), &complete, 12, 0),
+                                              MakeNodeTask(model.get(), &ring, 13, 3)};
+
+  // Every flow-enumerating method shares the budgeted enumeration.
+  for (const std::string method : {"Revelio", "GNN-LRP", "FlowX"}) {
+    std::unique_ptr<explain::Explainer> explainer = eval::MakeExplainer(method, runner_config);
+    const std::vector<explain::Explanation> batch =
+        eval::ExplainAll(explainer.get(), tasks, explain::Objective::kFactual);
+
+    ASSERT_EQ(batch.size(), 3u) << method;
+    EXPECT_EQ(batch[1].status.code(), util::StatusCode::kResourceExhausted) << method;
+    EXPECT_TRUE(batch[1].edge_scores.empty()) << method;
+    EXPECT_TRUE(batch[1].flow_scores.empty()) << method;
+    ASSERT_TRUE(batch[0].status.ok()) << method;
+    ASSERT_TRUE(batch[2].status.ok()) << method;
+
+    std::unique_ptr<explain::Explainer> solo = eval::MakeExplainer(method, runner_config);
+    const explain::Explanation alone0 = solo->Explain(tasks[0], explain::Objective::kFactual);
+    const explain::Explanation alone2 = solo->Explain(tasks[2], explain::Objective::kFactual);
+    EXPECT_EQ(batch[0].edge_scores, alone0.edge_scores) << method;
+    EXPECT_EQ(batch[0].flow_scores, alone0.flow_scores) << method;
+    EXPECT_EQ(batch[2].edge_scores, alone2.edge_scores) << method;
+    EXPECT_EQ(batch[2].flow_scores, alone2.flow_scores) << method;
+  }
+}
+
+TEST(StructuralEdgeCases, NonFiniteFeaturesAreRejectedAtAdmission) {
+  // NaN/Inf features used to pass validation and come back as NaN rankings;
+  // they must now fail admission with InvalidArgument, in place.
+  const std::unique_ptr<gnn::GnnModel> model = MakeFrozenGcn();
+  graph::Graph ring(6);
+  for (int v = 0; v < 6; ++v) ring.AddUndirectedEdge(v, (v + 1) % 6);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    explain::ExplanationTask poisoned = MakeNodeTask(model.get(), &ring, 21, 2);
+    poisoned.features = poisoned.features.Detach();
+    (*poisoned.features.mutable_values())[4 * 3 + 1] = bad;
+    const util::Status status = explain::ValidateExplanationTask(poisoned);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.ToString().find("(4, 1)"), std::string::npos) << status.ToString();
+
+    std::vector<explain::ExplanationTask> tasks{MakeNodeTask(model.get(), &ring, 22, 0), poisoned};
+    eval::RunnerConfig runner_config;
+    runner_config.explainer_epochs = 4;
+    std::unique_ptr<explain::Explainer> explainer =
+        eval::MakeExplainer("Revelio", runner_config);
+    const std::vector<explain::Explanation> batch =
+        eval::ExplainAll(explainer.get(), tasks, explain::Objective::kFactual);
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0].status.ok());
+    EXPECT_EQ(batch[1].status.code(), util::StatusCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(batch[1].edge_scores.empty());
+  }
 }
 
 }  // namespace

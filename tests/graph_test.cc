@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "graph/batch.h"
 #include "graph/subgraph.h"
 
@@ -139,6 +142,31 @@ TEST(GraphTest, CsrCacheRebuildsAfterMutationAndRemoveEdges) {
   Graph reduced = g.RemoveEdges({0});
   EXPECT_EQ(reduced.InCsr()->nnz(), 2);
   EXPECT_EQ(g.InCsr()->nnz(), 3);
+}
+
+// Batched explanation reads one task graph from several threads at once, so
+// the lazy caches must build exactly once under concurrent const readers
+// (the tsan preset runs this race-free; here every reader must see the same
+// cached pattern and complete adjacency).
+TEST(GraphTest, ConcurrentConstReadersShareOneCache) {
+  Graph g(64);
+  for (int v = 0; v < 64; ++v) g.AddUndirectedEdge(v, (v + 1) % 64);
+  const Graph copy = g;  // a copy starts cold and builds its own caches
+  for (const Graph* graph : std::vector<const Graph*>{&g, &copy}) {
+    std::vector<const tensor::CsrPattern*> seen(8, nullptr);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 8; ++t) {
+      readers.emplace_back([graph, &seen, t] {
+        seen[t] = graph->InCsr().get();
+        EXPECT_EQ(graph->OutCsr()->nnz(), 128);
+        EXPECT_EQ(graph->InEdges(t).size(), 2u);
+        EXPECT_TRUE(graph->HasEdge(t, t + 1));
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    for (int t = 1; t < 8; ++t) EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(seen[0]->nnz(), 128);
+  }
 }
 
 TEST(SubgraphTest, KHopExtractsInNeighborhood) {

@@ -3,16 +3,23 @@
 // across thread counts 1 vs 4 (the CLI's --threads flag maps onto
 // util::SetNumThreads). This pins the repo-wide determinism contract: every
 // parallel kernel partitions its OUTPUT range, so results never depend on
-// the thread count.
+// the thread count. The batch entry points (eval::ExplainAll,
+// Explainer::ExplainBatch) are held to the same contract: every slot equals
+// a per-task Explain bitwise, whatever the thread count.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/revelio.h"
+#include "eval/runner.h"
 #include "explain/explainer.h"
+#include "explain/gnnexplainer.h"
+#include "explain/random_explainer.h"
 #include "flow/flow_scores.h"
 #include "gnn/model.h"
 #include "gnn/trainer.h"
@@ -177,6 +184,133 @@ TEST_F(DeterminismTest, PoolOnOffAndWarmColdLeaveResultsBitwiseIdentical) {
     EXPECT_EQ(unpooled_run.edge_scores, cold_run.edge_scores);
     EXPECT_EQ(warm_run.ranking, unpooled_run.ranking);
     EXPECT_EQ(warm_run.edge_scores, unpooled_run.edge_scores);
+  }
+}
+
+// --- Batch entry points: ExplainAll / ExplainBatch == per-task Explain ----------
+
+// Self-owning task storage (ExplanationTask holds pointers).
+struct TaskData {
+  graph::Graph graph;
+  Tensor features;
+  int target_node = -1;
+  int target_class = 0;
+
+  explain::ExplanationTask MakeTask(const gnn::GnnModel* model) const {
+    explain::ExplanationTask task;
+    task.model = model;
+    task.graph = &graph;
+    task.features = features;
+    task.target_node = target_node;
+    task.target_class = target_class;
+    return task;
+  }
+};
+
+// Ring + random chords: connected, every node has in-edges, so flow
+// enumeration to any target is non-empty at any depth. Graph tasks reuse the
+// same structure with target_node = -1.
+TaskData MakeTaskData(uint64_t seed, bool node_task) {
+  util::Rng rng(seed);
+  TaskData data;
+  const int n = 6 + rng.UniformInt(5);
+  data.graph = graph::Graph(n);
+  for (int v = 0; v < n; ++v) data.graph.AddUndirectedEdge(v, (v + 1) % n);
+  for (int i = 0; i < 4; ++i) {
+    const int u = rng.UniformInt(n);
+    const int v = rng.UniformInt(n);
+    if (u != v && !data.graph.HasEdge(u, v)) data.graph.AddEdge(u, v);
+  }
+  data.features = Tensor::Uniform(n, 5, -1.0f, 1.0f, &rng);
+  data.target_node = node_task ? rng.UniformInt(n) : -1;
+  data.target_class = rng.UniformInt(2);
+  return data;
+}
+
+using ExplainerFactory = std::function<std::unique_ptr<explain::Explainer>()>;
+
+struct NamedFactory {
+  std::string name;
+  ExplainerFactory make;
+};
+
+std::vector<NamedFactory> BatchContractExplainers() {
+  core::RevelioOptions revelio;
+  revelio.epochs = 6;
+  revelio.seed = kSeed + 4;
+  core::RevelioOptions prefilter = revelio;
+  prefilter.prefilter_top_k = 5;
+  explain::GnnExplainerOptions gnnexplainer;
+  gnnexplainer.epochs = 6;
+  gnnexplainer.seed = kSeed + 5;
+  return {
+      {"Revelio", [revelio] { return std::make_unique<core::RevelioExplainer>(revelio); }},
+      {"Revelio+prefilter",
+       [prefilter] { return std::make_unique<core::RevelioExplainer>(prefilter); }},
+      {"GNNExplainer",
+       [gnnexplainer] { return std::make_unique<explain::GnnExplainerMethod>(gnnexplainer); }},
+      // Not thread-safe: exercises ExplainBatch's serial path, whose RNG
+      // advances in task order exactly like the per-task loop.
+      {"Random", [] { return std::make_unique<explain::RandomExplainer>(kSeed + 6); }},
+  };
+}
+
+void ExpectSameExplanations(const std::vector<explain::Explanation>& expected,
+                            const std::vector<explain::Explanation>& actual,
+                            const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(actual[i].status.ok()) << context << " task " << i << ": "
+                                       << actual[i].status.ToString();
+    EXPECT_EQ(expected[i].edge_scores, actual[i].edge_scores) << context << " task " << i;
+    EXPECT_EQ(expected[i].flow_scores, actual[i].flow_scores) << context << " task " << i;
+  }
+}
+
+// The surviving batch contract: for node and graph tasks, both objectives,
+// the prefilter extension, and a non-thread-safe method, ExplainAll and
+// ExplainBatch at threads {1, 2, 7, 16} equal a fresh explainer's per-task
+// Explain loop bitwise.
+TEST_F(DeterminismTest, ExplainAllAndExplainBatchEqualPerTaskExplain) {
+  for (const bool node_task : {true, false}) {
+    gnn::GnnConfig config = ModelConfig();
+    if (!node_task) config.task = gnn::TaskType::kGraphClassification;
+    gnn::GnnModel model(config);
+    model.Freeze();
+    std::vector<TaskData> data;
+    for (int i = 0; i < (node_task ? 9 : 4); ++i) {
+      data.push_back(MakeTaskData(kSeed + 40 + i, node_task));
+    }
+    std::vector<explain::ExplanationTask> tasks;
+    for (const TaskData& d : data) tasks.push_back(d.MakeTask(&model));
+    std::vector<const explain::ExplanationTask*> pointers;
+    for (const auto& task : tasks) pointers.push_back(&task);
+
+    for (const NamedFactory& factory : BatchContractExplainers()) {
+      for (const auto objective :
+           {explain::Objective::kFactual, explain::Objective::kCounterfactual}) {
+        util::SetNumThreads(1);
+        std::unique_ptr<explain::Explainer> sequential = factory.make();
+        std::vector<explain::Explanation> reference;
+        for (const auto& task : tasks) reference.push_back(sequential->Explain(task, objective));
+        for (const explain::Explanation& expected : reference) {
+          ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+          ASSERT_FALSE(expected.edge_scores.empty());
+        }
+
+        for (const int threads : {1, 2, 7, 16}) {
+          util::SetNumThreads(threads);
+          const std::string context = factory.name + (node_task ? " node" : " graph") +
+                                      " objective=" + explain::ObjectiveName(objective) +
+                                      " threads=" + std::to_string(threads);
+          ExpectSameExplanations(reference,
+                                 eval::ExplainAll(factory.make().get(), tasks, objective),
+                                 context + " ExplainAll");
+          ExpectSameExplanations(reference, factory.make()->ExplainBatch(pointers, objective),
+                                 context + " ExplainBatch");
+        }
+      }
+    }
   }
 }
 

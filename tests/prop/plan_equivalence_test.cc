@@ -1,6 +1,7 @@
 // Recorded execution plans (src/plan/): replaying a recorded epoch must be
 // BITWISE-equal to re-running it eagerly — across thread counts, pool on/off,
-// the sequential and mega-batched explainer loops, and fusion on/off. The
+// one-at-a-time Explain vs instance-parallel ExplainBatch, and fusion
+// on/off. The
 // differential harness trains full mini-GNN explanations both ways and
 // compares every score; the validity suite checks the structural properties
 // every compiled plan must satisfy (topological step order, non-overlapping
@@ -16,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "core/revelio.h"
-#include "explain/batch_runner.h"
 #include "explain/explainer.h"
 #include "explain/gnnexplainer.h"
 #include "flow/flow_scores.h"
@@ -128,8 +128,6 @@ class PlanEquivalenceTest : public ::testing::Test {
     obs::SetEnabled(false);
     util::SetNumThreads(1);
     tensor::SetPoolEnabled(true);
-    explain::SetMegaBatchEnabled(true);
-    explain::SetMegaBatchSize(32);
     plan::SetExecPlanEnabled(true);
     plan::SetPlanFuseEnabled(true);
   }
@@ -141,7 +139,8 @@ class PlanEquivalenceTest : public ::testing::Test {
 
 // The headline contract: for seeded random mini-GNN tasks, the plan-replay
 // loop equals the eager loop bitwise across threads {1, 2, 7, 16}, pool
-// on/off, and the sequential vs mega-batched path.
+// on/off, and one-at-a-time Explain vs ExplainBatch (plans recorded and
+// replayed on the ParallelFor workers).
 TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
   util::SetNumThreads(1);
   tensor::SetPoolEnabled(true);
@@ -171,20 +170,21 @@ TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
       tensor::SetPoolEnabled(pool_on);
       const std::string context =
           "threads=" + std::to_string(threads) + " pool=" + (pool_on ? "on" : "off");
-      // Megabatch off: the sequential per-task loop, plan-replayed.
+      // One task at a time, plan-replayed.
       for (size_t i = 0; i < tasks.size(); ++i) {
         ExpectFlowExplanationsBitwiseEqual(
             reference[i], explainer.ExplainFlows(tasks[i], explain::Objective::kFactual),
-            context + " megabatch=off instance=" + std::to_string(i));
+            context + " single instance=" + std::to_string(i));
       }
-      // Megabatch on: the fused loop, plan-replayed.
-      const std::vector<core::RevelioExplainer::FlowExplanation> batched =
-          explainer.ExplainFlowsBatch(group, explain::Objective::kFactual);
+      // Instance-parallel batch, plan-replayed on the worker threads.
+      const std::vector<explain::Explanation> batched =
+          explainer.ExplainBatch(group, explain::Objective::kFactual);
       ASSERT_EQ(batched.size(), group.size());
       for (size_t i = 0; i < batched.size(); ++i) {
-        ExpectFlowExplanationsBitwiseEqual(
-            reference[i], batched[i],
-            context + " megabatch=on instance=" + std::to_string(i));
+        EXPECT_EQ(reference[i].flow_scores, batched[i].flow_scores)
+            << context << " batch instance=" << i;
+        EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
+            << context << " batch instance=" << i;
       }
     }
   }
@@ -221,7 +221,7 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
         EXPECT_EQ(reference[i].edge_scores,
                   explainer.Explain(tasks[i], explain::Objective::kFactual).edge_scores)
             << "threads=" << threads << " pool=" << (pool_on ? "on" : "off")
-            << " megabatch=off instance=" << i;
+            << " single instance=" << i;
       }
       const std::vector<explain::Explanation> batched =
           explainer.ExplainBatch(group, explain::Objective::kFactual);
@@ -229,7 +229,7 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
       for (size_t i = 0; i < batched.size(); ++i) {
         EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
             << "threads=" << threads << " pool=" << (pool_on ? "on" : "off")
-            << " megabatch=on instance=" << i;
+            << " batch instance=" << i;
       }
     }
   }

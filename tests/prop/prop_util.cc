@@ -334,20 +334,6 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
           });
     }
 
-    std::vector<SegShape> sum_shapes = {{7, 3, 4, true}, {1, 1, 1, true}, {0, 3, 2, true}};
-    if (include_large) sum_shapes.push_back({4000, 32, 64, false});
-    for (const SegShape& s : sum_shapes) {
-      std::vector<int> ids = RandSegments(idx_rng, s.count, s.num_segments);
-      add("SegmentSumRows", std::to_string(s.count) + "/" + std::to_string(s.num_segments),
-          s.fd,
-          [s](util::Rng& rng) {
-            return std::vector<Tensor>{FillLeaf(rng, s.count, s.cols, Fill::kUniform)};
-          },
-          [ids, s](const std::vector<Tensor>& in) {
-            return tensor::SegmentSumRows(in[0], ids, s.num_segments);
-          });
-    }
-
     // SegmentMaxRows gradient flows to the argmax row, so FD needs pairwise
     // distinct, well-separated values (RandDistinct).
     std::vector<SegShape> max_shapes = {{7, 3, 3, true}, {1, 1, 1, true}, {0, 3, 2, true}};
@@ -374,35 +360,6 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
     add("Select", "1x1@(0,0)", true,
         [](util::Rng& rng) { return std::vector<Tensor>{RandLeaf(rng, 1, 1)}; },
         [](const std::vector<Tensor>& in) { return tensor::Select(in[0], 0, 0); });
-  }
-
-  // SelectMany: batched Select with a deliberate duplicate (row 2, col 3)
-  // so the backward's in-order accumulation over repeated sources is covered.
-  {
-    std::vector<int> rows = {2, 0, 4, 2, 1, 2, 3};
-    std::vector<int> cols = {3, 1, 0, 3, 2, 0, 3};
-    add("SelectMany", "5x4/7picks", true,
-        [](util::Rng& rng) { return std::vector<Tensor>{RandLeaf(rng, 5, 4)}; },
-        [rows, cols](const std::vector<Tensor>& in) {
-          return tensor::SelectMany(in[0], rows, cols);
-        });
-    add("SelectMany", "1x1/1pick", true,
-        [](util::Rng& rng) { return std::vector<Tensor>{RandLeaf(rng, 1, 1)}; },
-        [](const std::vector<Tensor>& in) {
-          return tensor::SelectMany(in[0], {0}, {0});
-        });
-    if (include_large) {
-      std::vector<int> big_rows(500), big_cols(500);
-      for (int k = 0; k < 500; ++k) {
-        big_rows[k] = idx_rng.UniformInt(300);
-        big_cols[k] = idx_rng.UniformInt(16);
-      }
-      add("SelectMany", "300x16/500picks", false,
-          [](util::Rng& rng) { return std::vector<Tensor>{RandLeaf(rng, 300, 16)}; },
-          [big_rows, big_cols](const std::vector<Tensor>& in) {
-            return tensor::SelectMany(in[0], big_rows, big_cols);
-          });
-    }
   }
 
   // NllLoss (CHECK-fails on zero rows; no empty variant).

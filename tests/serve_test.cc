@@ -458,6 +458,64 @@ TEST_F(ServeTest, AdmissionQueueConservesItems) {
   EXPECT_EQ(queue.total_pushed(), queue.total_popped() + queue.total_cancelled());
 }
 
+// A flow-heavy request must not take the process down: a 20-node complete
+// graph under a 3-layer graph classifier has 20 targets x 20^3 = 160,000
+// message flows, over the 60,000 serve cap. It is answered
+// ResourceExhausted; the light request coalesced next to it and a later
+// request are still served.
+TEST_F(ServeTest, FlowHeavyRequestIsAnsweredNonOkAndServingContinues) {
+  gnn::GnnConfig config;
+  config.arch = gnn::GnnArch::kGcn;
+  config.task = gnn::TaskType::kGraphClassification;
+  config.input_dim = kFeatureDim;
+  config.hidden_dim = 4;
+  config.num_classes = 2;
+  config.num_layers = 3;
+  config.seed = 5;
+  ASSERT_TRUE(registry_.Register("g3", std::make_unique<gnn::GnnModel>(config)).ok());
+  ServeOptions options;
+  options.explainer_epochs = 4;
+  auto server = MakeServer(options);
+  ASSERT_EQ(server->options().max_flows, 60'000);
+
+  auto graph_request = [](int n, bool complete) {
+    ExplainRequest request;
+    request.model = "g3";
+    request.method = "Revelio";
+    request.graph = graph::Graph(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (u != v && (complete || v == (u + 1) % n)) request.graph.AddEdge(u, v);
+      }
+    }
+    util::Rng rng(17);
+    request.features = tensor::Tensor::Uniform(n, kFeatureDim, -1.0f, 1.0f, &rng);
+    request.target_node = -1;
+    return request;
+  };
+  auto heavy = server->TrySubmit(graph_request(20, /*complete=*/true));
+  auto light = server->TrySubmit(graph_request(6, /*complete=*/false));
+  ASSERT_TRUE(heavy.ok());
+  ASSERT_TRUE(light.ok());
+  EXPECT_EQ(server->RunOnce().ran, 2);  // one coalesced group
+
+  const ExplainResponse heavy_response = heavy.value().get();
+  EXPECT_EQ(heavy_response.status.code(), util::StatusCode::kResourceExhausted)
+      << heavy_response.status.ToString();
+  EXPECT_TRUE(heavy_response.explanation.edge_scores.empty());
+  const ExplainResponse light_response = light.value().get();
+  ASSERT_TRUE(light_response.status.ok()) << light_response.status.ToString();
+  EXPECT_FALSE(light_response.explanation.edge_scores.empty());
+
+  auto later = server->TrySubmit(MakeRequest("m1"));
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(server->RunOnce().ran, 1);
+  EXPECT_TRUE(later.value().get().status.ok());
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.rejected_invalid, 1u);
+}
+
 // --- serve x plan fault injection (DESIGN.md §12) ---------------------------
 
 // Requests routed to the real Revelio explainer (built lazily from
