@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
+#include "util/flags.h"
 
 namespace revelio::gnn {
 
@@ -16,15 +15,8 @@ using tensor::Tensor;
 
 namespace {
 
-bool FusedAggregationDefault() {
-  const char* env = std::getenv("REVELIO_FUSED_AGG");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "false" || value == "off");
-}
-
 std::atomic<bool>& FusedAggregationFlag() {
-  static std::atomic<bool> flag(FusedAggregationDefault());
+  static std::atomic<bool> flag(util::EnvFlag("REVELIO_FUSED_AGG", true));
   return flag;
 }
 

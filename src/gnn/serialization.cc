@@ -1,5 +1,6 @@
 #include "gnn/serialization.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -12,6 +13,25 @@ constexpr char kMagic[] = "revelio-gnn-v1";
 
 int ArchToInt(GnnArch arch) { return static_cast<int>(arch); }
 int TaskToInt(TaskType task) { return static_cast<int>(task); }
+
+// Rejects every config value the GnnModel and GatLayer constructors CHECK,
+// so a hostile file yields a Status instead of an abort.
+util::Status ValidateConfig(const GnnConfig& config, const std::string& path) {
+  if (config.input_dim <= 0 || config.hidden_dim <= 0 || config.num_classes <= 0 ||
+      config.num_layers <= 0) {
+    return util::Status::InvalidArgument("non-positive dims, classes or layers in " + path);
+  }
+  if (config.arch == GnnArch::kGat) {
+    if (config.num_heads <= 0) {
+      return util::Status::InvalidArgument("non-positive GAT head count in " + path);
+    }
+    // Hidden GAT layers concatenate heads (the last layer averages them).
+    if (config.num_layers > 1 && config.hidden_dim % config.num_heads != 0) {
+      return util::Status::InvalidArgument("GAT hidden dim not divisible by heads in " + path);
+    }
+  }
+  return util::Status::Ok();
+}
 
 }  // namespace
 
@@ -61,6 +81,7 @@ util::StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
   config.task = static_cast<TaskType>(task);
   config.gcn_normalize = normalize != 0;
   config.seed = seed;
+  if (util::Status valid = ValidateConfig(config, path); !valid.ok()) return valid;
 
   auto model = std::make_unique<GnnModel>(config);
   auto parameters = model->Parameters();
@@ -82,11 +103,11 @@ util::StatusOr<std::unique_ptr<GnnModel>> LoadModel(const std::string& path) {
         return util::Status::InvalidArgument("truncated parameter data in " + path);
       }
       char* end = nullptr;
-      const double parsed = std::strtod(token.c_str(), &end);
-      if (end == token.c_str()) {
+      const float parsed = static_cast<float>(std::strtod(token.c_str(), &end));
+      if (end == token.c_str() || *end != '\0' || !std::isfinite(parsed)) {
         return util::Status::InvalidArgument("bad float token '" + token + "' in " + path);
       }
-      v = static_cast<float>(parsed);
+      v = parsed;
     }
   }
   return model;

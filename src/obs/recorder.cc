@@ -13,6 +13,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 
 namespace revelio::obs {
 
@@ -29,15 +30,8 @@ size_t EnvCapacity() {
   return static_cast<size_t>(parsed);
 }
 
-bool EnvFlightEnabled() {
-  const char* env = std::getenv("REVELIO_FLIGHT_RECORDER");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "false" || value == "off");
-}
-
 std::atomic<bool>& FlightFlag() {
-  static std::atomic<bool> flag(EnvFlightEnabled());
+  static std::atomic<bool> flag(util::EnvFlag("REVELIO_FLIGHT_RECORDER", true));
   return flag;
 }
 

@@ -2,36 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string>
 #include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/bf16.h"
 #include "tensor/op_helpers.h"
 #include "tensor/pool.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 
 namespace revelio::plan {
 
 namespace {
 
-bool EnvFlagDefault(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "false" || value == "off");
-}
-
 std::atomic<bool>& ExecPlanFlag() {
-  static std::atomic<bool> flag(EnvFlagDefault("REVELIO_EXEC_PLAN"));
-  return flag;
-}
-
-std::atomic<bool>& PlanFuseFlag() {
-  static std::atomic<bool> flag(EnvFlagDefault("REVELIO_PLAN_FUSE"));
+  static std::atomic<bool> flag(util::EnvFlag("REVELIO_EXEC_PLAN", true));
   return flag;
 }
 
@@ -65,12 +51,6 @@ void SetExecPlanEnabled(bool enabled) {
   ExecPlanFlag().store(enabled, std::memory_order_relaxed);
 }
 
-bool PlanFuseEnabled() { return PlanFuseFlag().load(std::memory_order_relaxed); }
-
-void SetPlanFuseEnabled(bool enabled) {
-  PlanFuseFlag().store(enabled, std::memory_order_relaxed);
-}
-
 uint64_t GlobalPlanVersion() {
   return GlobalVersionCounter().load(std::memory_order_relaxed);
 }
@@ -79,7 +59,7 @@ void BumpGlobalPlanVersion() {
   GlobalVersionCounter().fetch_add(1, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse) {
+std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape) {
   CHECK(tape != nullptr);
   auto plan = std::make_unique<Plan>();
   const auto& ops = tape->ops;
@@ -93,7 +73,7 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse) {
   while (i < n) {
     PlanStep step;
     step.op_indices.push_back(i);
-    if (fuse && ops[i].chunk) {
+    if (ops[i].chunk) {
       int j = i + 1;
       while (j < n && ops[j].chunk && ops[j].numel == ops[i].numel) {
         step.op_indices.push_back(j);
@@ -160,7 +140,7 @@ void PlanSession::Seal(const tensor::Tensor& root, PlanKey key) {
   root_ = root;
   key_ = std::move(key);
   global_version_ = GlobalPlanVersion();
-  plan_ = BuildPlan(&tape_, PlanFuseEnabled());
+  plan_ = BuildPlan(&tape_);
   backward_order_.clear();
   grad_nodes_.clear();
   if (root.node()->requires_grad) {
@@ -187,11 +167,6 @@ bool PlanSession::Replay(const PlanKey& key) {
     return false;
   }
   obs::ScopedSpan span("plan.replay", obs::FlightPolicy::kSkip);
-  // Replay overwrites every tape output's `values` in place; any bf16 mirror
-  // cached on those nodes (tensor/bf16.h) is stale the moment a step runs.
-  for (const auto& op : tape_.ops) {
-    if (op.out->bf16_values != nullptr) tensor::bf16::InvalidatePacked(op.out.get());
-  }
   tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal();
   const uint64_t acquires_before = pool ? pool->stats().hits + pool->stats().misses : 0;
 

@@ -15,12 +15,9 @@
 // compute — so a replayed epoch is bitwise-identical to an eager one at any
 // thread count.
 //
-// Toggles:
-//   REVELIO_EXEC_PLAN=0  (env) or SetExecPlanEnabled(false): training loops
-//     run fully eager — the legacy path, bitwise-identical results.
-//   REVELIO_PLAN_FUSE=0  (env) or SetPlanFuseEnabled(false): plans replay
-//     op-by-op without elementwise fusion (fusion is bitwise-neutral; the
-//     switch isolates it for debugging and benchmarks).
+// Toggle: REVELIO_EXEC_PLAN=0 (env) or SetExecPlanEnabled(false) makes the
+// training loops run fully eager — the legacy path, bitwise-identical
+// results.
 //
 // Re-record triggers: a PlanKey mismatch (graph structure version, shapes,
 // flow counts) or a BumpGlobalPlanVersion() call (fault injection, global
@@ -37,11 +34,9 @@
 
 namespace revelio::plan {
 
-// Process-wide switches (relaxed atomics; defaults read the environment once).
+// Process-wide switch (relaxed atomic; the default reads the environment once).
 bool ExecPlanEnabled();
 void SetExecPlanEnabled(bool enabled);
-bool PlanFuseEnabled();
-void SetPlanFuseEnabled(bool enabled);
 
 // Monotone global invalidation epoch. Bumping it invalidates every sealed
 // plan in the process at its next Replay() — the hook fault injection and
@@ -80,7 +75,7 @@ class Plan {
   int fused_ops() const { return fused_ops_; }
 
  private:
-  friend std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse);
+  friend std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
   std::vector<PlanStep> steps_;
   std::vector<std::vector<int>> levels_;
@@ -90,9 +85,9 @@ class Plan {
 };
 
 // Compiles a recorded tape: fuses maximal runs of consecutive same-extent
-// elementwise ops (when `fuse`), assigns dependence levels, and lays out the
-// static arena. The tape must outlive the plan (steps index into it).
-std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape, bool fuse);
+// elementwise ops, assigns dependence levels, and lays out the static
+// arena. The tape must outlive the plan (steps index into it).
+std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
 // Owns one training loop's recorded tape, compiled plan, and cached backward
 // order. Usage per epoch:

@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "tensor/pool.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/logging.h"
 
 namespace revelio::serve {
@@ -21,13 +22,6 @@ int EnvInt(const char* name, int fallback) {
   if (env == nullptr) return fallback;
   const int value = std::atoi(env);
   return value > 0 ? value : fallback;
-}
-
-bool EnvFlagDisabled(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return value == "0" || value == "false" || value == "off";
 }
 
 bool KnownMethod(const std::string& method) {
@@ -47,7 +41,7 @@ ServeOptions ServeOptionsFromEnv() {
   ServeOptions options;
   options.queue_capacity = static_cast<size_t>(EnvInt("REVELIO_SERVE_QUEUE_DEPTH", 64));
   options.num_workers = EnvInt("REVELIO_SERVE_WORKERS", 1);
-  options.coalesce = !EnvFlagDisabled("REVELIO_SERVE_COALESCE");
+  options.coalesce = util::EnvFlag("REVELIO_SERVE_COALESCE", true);
   options.coalesce_limit = EnvInt("REVELIO_SERVE_COALESCE_SIZE", 8);
   options.default_deadline_nanos =
       static_cast<int64_t>(EnvInt("REVELIO_SERVE_DEADLINE_MS", 0)) * 1'000'000;

@@ -3,7 +3,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/bf16.h"
 #include "tensor/op_helpers.h"
 #include "tensor/ops.h"
 #include "tensor/record.h"
@@ -36,27 +35,19 @@ int64_t SpmmGrain(int64_t num_rows, int64_t nnz, int64_t cols) {
   return RowGrain(cols * (1 + avg_degree));
 }
 
-void RecordSpmmMetrics(const CsrPattern& p, int cols, bool x_bf16) {
+void RecordSpmmMetrics(const CsrPattern& p, int cols) {
   static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("tensor.spmm.calls");
   static obs::Counter* flops = obs::MetricsRegistry::Global().GetCounter("tensor.spmm.flops");
   static obs::Counter* bytes = obs::MetricsRegistry::Global().GetCounter("tensor.spmm.bytes");
-  static obs::Counter* input_bytes =
-      obs::MetricsRegistry::Global().GetCounter("tensor.spmm.input_bytes");
   calls->Increment();
   flops->Add(uint64_t{2} * p.nnz() * cols);
-  // Feature rows gathered per nonzero, at the width actually read (2 bytes
-  // when x is bf16-packed) — the counter the bf16-halving bench gate watches.
-  const uint64_t in = (x_bf16 ? 2u : 4u) * static_cast<uint64_t>(p.nnz()) * cols;
-  input_bytes->Add(in);
-  bytes->Add(in + sizeof(float) * static_cast<uint64_t>(p.num_rows) * cols);
+  // Feature rows gathered per nonzero, plus the output rows written.
+  bytes->Add(sizeof(float) * (static_cast<uint64_t>(p.nnz()) + p.num_rows) * cols);
 }
 
 // out[j, :] = sum_k w[edge_idx[k]] * x[col_idx[k], :] over row j's nonzeros.
 // `wv == nullptr` means all-ones weights (the unweighted sum variant).
-// `xp != nullptr` reads x from its bf16-packed mirror instead of xv
-// (inference-only eval path; widened on the fly, f32 accumulate).
-void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, const uint16_t* xp,
-                 float* ov, int cols) {
+void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* ov, int cols) {
   const int* row_ptr = p.row_ptr.data();
   const int* col_idx = p.col_idx.data();
   const int* edge_idx = p.edge_idx.data();
@@ -72,9 +63,7 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, const ui
                         for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
                           const size_t xbase = static_cast<size_t>(col_idx[k]) * cols;
                           const float w = wv ? wv[edge_idx[k]] : 1.0f;
-                          if (xp != nullptr) {
-                            simd::AxpyBf16(w, xp + xbase, out_row, cols);
-                          } else if (use_simd) {
+                          if (use_simd) {
                             simd::AxpyF32(w, xv + xbase, out_row, cols);
                           } else {
                             const float* x_row = xv + xbase;
@@ -149,26 +138,19 @@ Tensor SpmmCsr(const CsrPatternRef& pattern, const Tensor& x) {
   CheckPattern(pattern, x, "SpmmCsr");
   const int cols = x.cols();
   obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
-  // bf16 eval tier: gather x rows at half width inside an EvalScope when no
-  // gradient is needed and no tape is recording (tensor/bf16.h).
-  const uint16_t* xp = nullptr;
-  if (bf16::EvalScope::Active() && !rec::Recording() && !x.requires_grad()) {
-    xp = bf16::PackedOperand(x.node().get());
-  }
-  RecordSpmmMetrics(*pattern, cols, xp != nullptr);
+  RecordSpmmMetrics(*pattern, cols);
   auto out = NewNodeUninit(pattern->num_rows, cols);
   const float* xv = x.values().data();
   float* ov = out->values.data();
-  SpmmForward(*pattern, nullptr, xv, xp, ov, cols);
-  if (xp != nullptr || simd::Enabled()) {
+  SpmmForward(*pattern, nullptr, xv, ov, cols);
+  if (simd::Enabled()) {
     simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
   }
   if (rec::Recording()) {
     rec::Record("SpmmCsr", out, {x.node()}, [pattern, xv, ov, cols]() {
-      SpmmForward(*pattern, nullptr, xv, nullptr, ov, cols);
+      SpmmForward(*pattern, nullptr, xv, ov, cols);
     });
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {x}, [pattern, cols](TensorNode* o) {
     TensorNode* xn = o->parents[0].get();
     if (!xn->requires_grad) return;
@@ -184,30 +166,21 @@ Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, cons
   CHECK_EQ(weights.cols(), 1);
   const int cols = x.cols();
   obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
-  // Only x moves nnz*cols bytes; the weight vector stays f32 (it is nnz
-  // floats, typically a fresh per-probe mask with no reuse to amortize a
-  // pack against).
-  const uint16_t* xp = nullptr;
-  if (bf16::EvalScope::Active() && !rec::Recording() && !x.requires_grad() &&
-      !weights.requires_grad()) {
-    xp = bf16::PackedOperand(x.node().get());
-  }
-  RecordSpmmMetrics(*pattern, cols, xp != nullptr);
+  RecordSpmmMetrics(*pattern, cols);
   auto out = NewNodeUninit(pattern->num_rows, cols);
   const float* wv = weights.values().data();
   const float* xv = x.values().data();
   float* ov = out->values.data();
-  SpmmForward(*pattern, wv, xv, xp, ov, cols);
-  if (xp != nullptr || simd::Enabled()) {
+  SpmmForward(*pattern, wv, xv, ov, cols);
+  if (simd::Enabled()) {
     simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
   }
   if (rec::Recording()) {
     rec::Record("SpmmCsrWeighted", out, {weights.node(), x.node()},
                 [pattern, wv, xv, ov, cols]() {
-                  SpmmForward(*pattern, wv, xv, nullptr, ov, cols);
+                  SpmmForward(*pattern, wv, xv, ov, cols);
                 });
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {weights, x}, [pattern, cols](TensorNode* o) {
     TensorNode* wn = o->parents[0].get();
     TensorNode* xn = o->parents[1].get();
@@ -227,11 +200,7 @@ Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x) {
   CheckPattern(pattern, x, "SpmmCsrMean");
   const int cols = x.cols();
   obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
-  const uint16_t* xp = nullptr;
-  if (bf16::EvalScope::Active() && !rec::Recording() && !x.requires_grad()) {
-    xp = bf16::PackedOperand(x.node().get());
-  }
-  RecordSpmmMetrics(*pattern, cols, xp != nullptr);
+  RecordSpmmMetrics(*pattern, cols);
   // Mean = sum with per-nonzero weight 1/degree(row); rows with no nonzeros
   // keep their zero initialization. The weight vector is indexed by edge id
   // so the same kernels apply unchanged.
@@ -249,16 +218,15 @@ Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x) {
   auto out = NewNodeUninit(pattern->num_rows, cols);
   const float* xv = x.values().data();
   float* ov = out->values.data();
-  SpmmForward(*pattern, degree_weights->data(), xv, xp, ov, cols);
-  if (xp != nullptr || simd::Enabled()) {
+  SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);
+  if (simd::Enabled()) {
     simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
   }
   if (rec::Recording()) {
     rec::Record("SpmmCsrMean", out, {x.node()}, [pattern, degree_weights, xv, ov, cols]() {
-      SpmmForward(*pattern, degree_weights->data(), xv, nullptr, ov, cols);
+      SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);
     });
   }
-  bf16::MaybePackOutput(out.get());
   AttachBackward(out, {x}, [pattern, degree_weights, cols](TensorNode* o) {
     TensorNode* xn = o->parents[0].get();
     if (!xn->requires_grad) return;

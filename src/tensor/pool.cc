@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <string>
 
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 
 namespace revelio::tensor {
 
@@ -22,27 +21,13 @@ const float kPoisonValue = std::bit_cast<float>(uint32_t{0x7fbadbad});
 // the in-use high-water mark has grown past it.
 constexpr uint64_t kMinRetainBytes = uint64_t{1} << 20;
 
-bool EnvFlagDisabled(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return value == "0" || value == "false" || value == "off";
-}
-
-bool EnvFlagEnabled(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
 std::atomic<bool>& PoolEnabledFlag() {
-  static std::atomic<bool> flag(!EnvFlagDisabled("REVELIO_TENSOR_POOL"));
+  static std::atomic<bool> flag(util::EnvFlag("REVELIO_TENSOR_POOL", true));
   return flag;
 }
 
 std::atomic<bool>& PoolPoisonFlag() {
-  static std::atomic<bool> flag(EnvFlagEnabled("REVELIO_POISON_POOL"));
+  static std::atomic<bool> flag(util::EnvFlag("REVELIO_POISON_POOL", false));
   return flag;
 }
 

@@ -118,20 +118,6 @@ void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, i
 void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, int64_t ke, int n,
                         int k, int m);
 
-// --- bf16 storage kernels (tensor/bf16.h) ----------------------------------
-// Inputs are bf16-packed (uint16_t); lanes are widened to f32 on the fly and
-// all arithmetic stays in f32. Stated-epsilon class.
-
-// y += a * widen(x).
-void AxpyBf16(float a, const uint16_t* x, float* y, int64_t n);
-// o[i,:] accumulated in f32 from operands that are independently f32 or
-// bf16-packed (pass nullptr for the representation not in use).
-void MatMulRowsMixed(const float* a32, const uint16_t* a16, const float* b32,
-                     const uint16_t* b16, float* o, int64_t ib, int64_t ie, int k, int m);
-// Round-to-nearest-even f32 -> bf16 pack / zero-extend widen sweeps.
-void PackBf16(const float* src, uint16_t* dst, int64_t n);
-void WidenBf16(const uint16_t* src, float* dst, int64_t n);
-
 }  // namespace revelio::tensor::simd
 
 #endif  // REVELIO_TENSOR_SIMD_H_

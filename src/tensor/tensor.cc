@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "tensor/bf16.h"
 #include "tensor/pool.h"
 
 namespace revelio::tensor {
@@ -144,7 +143,6 @@ void Tensor::SetAt(int r, int c, float value) {
   CHECK(node_ != nullptr);
   CHECK(!node_->backward_fn) << "SetAt is only valid on leaf tensors";
   CHECK(r >= 0 && r < node_->rows && c >= 0 && c < node_->cols);
-  if (node_->bf16_values != nullptr) bf16::InvalidatePacked(node_.get());
   node_->values[static_cast<size_t>(r) * node_->cols + c] = value;
 }
 
@@ -161,7 +159,6 @@ const std::vector<float>& Tensor::values() const {
 std::vector<float>* Tensor::mutable_values() {
   CHECK(node_ != nullptr);
   CHECK(!node_->backward_fn) << "mutable_values is only valid on leaf tensors";
-  if (node_->bf16_values != nullptr) bf16::InvalidatePacked(node_.get());
   return &node_->values;
 }
 

@@ -51,4 +51,11 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
+bool EnvFlag(const char* name, bool fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') return fallback;
+  const std::string value(env);
+  return !(value == "0" || value == "false" || value == "off");
+}
+
 }  // namespace revelio::util

@@ -3,6 +3,7 @@
 
 // Tiny command-line flag parser used by benches and examples.
 // Accepts `--name=value`, `--name value`, and boolean `--name` forms.
+// Also the one parser for boolean REVELIO_* environment toggles.
 
 #include <map>
 #include <string>
@@ -30,6 +31,10 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+// Boolean environment toggle: unset or empty returns `fallback`; "0",
+// "false" or "off" returns false; any other value returns true.
+bool EnvFlag(const char* name, bool fallback);
 
 }  // namespace revelio::util
 

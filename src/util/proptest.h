@@ -66,16 +66,12 @@ struct CheckResult {
 //                   ulp distance is meaningless). For deterministic
 //                   reductions whose fold order differs from the serial loop
 //                   (lane-partial dot products).
-//   kStatedEpsilon  |a - e| <= abs_epsilon + rel_epsilon * |e|. For reduced-
-//                   precision storage with a proven error model (bf16 RNE:
-//                   rel 2^-8 per rounding).
-enum class ToleranceClass { kBitwise, kUlpBounded, kStatedEpsilon };
+enum class ToleranceClass { kBitwise, kUlpBounded };
 
 struct Tolerance {
   ToleranceClass cls = ToleranceClass::kBitwise;
   int64_t max_ulps = 0;      // kUlpBounded
-  double abs_epsilon = 0.0;  // kStatedEpsilon
-  double rel_epsilon = 0.0;  // kStatedEpsilon
+  double abs_epsilon = 0.0;  // kUlpBounded absolute floor
 
   static Tolerance Bitwise() { return {}; }
   static Tolerance Ulps(int64_t max_ulps, double abs_floor = 0.0) {
@@ -85,14 +81,7 @@ struct Tolerance {
     t.abs_epsilon = abs_floor;
     return t;
   }
-  static Tolerance Epsilon(double rel, double abs = 0.0) {
-    Tolerance t;
-    t.cls = ToleranceClass::kStatedEpsilon;
-    t.rel_epsilon = rel;
-    t.abs_epsilon = abs;
-    return t;
-  }
-  // "bitwise", "ulp-bounded(<=N)" or "stated-epsilon(rel=..,abs=..)".
+  // "bitwise" or "ulp-bounded(<=N)".
   std::string Name() const;
 };
 

@@ -4,6 +4,7 @@
 #include "gnn/serialization.h"
 
 #include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +91,54 @@ TEST(SerializationTest, RejectsMissingAndMalformedFiles) {
     out << "revelio-gnn-v1\n0 0 3 8\n";  // truncated config
   }
   EXPECT_FALSE(LoadModel(path).ok());
+
+  // Configs the model constructors would CHECK-abort on come back as
+  // InvalidArgument: arch task input hidden classes layers heads norm seed.
+  for (const char* config : {"0 0 0 8 2 3 8 1 21",    // input_dim = 0
+                             "0 0 3 -8 2 3 8 1 21",   // hidden_dim < 0
+                             "1 0 3 8 0 3 8 1 21",    // no classes
+                             "0 0 3 8 2 0 8 1 21",    // no layers
+                             "2 0 3 8 2 3 0 1 21",    // GAT without heads
+                             "2 0 3 8 2 3 3 1 21"}) {  // GAT hidden % heads != 0
+    {
+      std::ofstream out(path);
+      out << "revelio-gnn-v1\n" << config << "\n";
+    }
+    auto bad_config = LoadModel(path);
+    EXPECT_FALSE(bad_config.ok()) << config;
+    EXPECT_EQ(bad_config.status().code(), util::StatusCode::kInvalidArgument) << config;
+  }
+
+  // Weight tokens must be finite and fully parsed: corrupt the first value of
+  // an otherwise valid file.
+  GnnModel model(SmallConfig(GnnArch::kGcn));
+  ASSERT_TRUE(SaveModel(model, path).ok());
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  // Header, config and count lines, then "<rows> <cols> <v0> ...".
+  size_t pos = 0;
+  for (int line = 0; line < 3; ++line) pos = text.find('\n', pos) + 1;
+  pos = text.find(' ', text.find(' ', pos) + 1) + 1;
+  const size_t end = text.find_first_of(" \n", pos);
+  for (const char* token : {"nan", "inf", "-inf", "1.5abc", "1e300"}) {
+    {
+      std::ofstream out(path);
+      out << text.substr(0, pos) << token << text.substr(end);
+    }
+    auto bad_token = LoadModel(path);
+    EXPECT_FALSE(bad_token.ok()) << token;
+    EXPECT_EQ(bad_token.status().code(), util::StatusCode::kInvalidArgument) << token;
+  }
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  EXPECT_TRUE(LoadModel(path).ok());  // the uncorrupted file still loads
 }
 
 }  // namespace

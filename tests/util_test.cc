@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -128,6 +129,27 @@ TEST(FlagsTest, SpaceFormGreedilyConsumesNextToken) {
   Flags flags(3, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetString("verbose", ""), "positional");
   EXPECT_TRUE(flags.positional().empty());
+}
+
+TEST(FlagsTest, EnvFlagParsesBooleanToggles) {
+  constexpr char kName[] = "REVELIO_UTIL_TEST_ENV_FLAG";
+  unsetenv(kName);
+  EXPECT_TRUE(EnvFlag(kName, true));  // unset: fallback
+  EXPECT_FALSE(EnvFlag(kName, false));
+  setenv(kName, "", 1);
+  EXPECT_TRUE(EnvFlag(kName, true));  // empty: fallback
+  EXPECT_FALSE(EnvFlag(kName, false));
+  for (const char* off : {"0", "false", "off"}) {
+    setenv(kName, off, 1);
+    EXPECT_FALSE(EnvFlag(kName, true)) << off;
+    EXPECT_FALSE(EnvFlag(kName, false)) << off;
+  }
+  for (const char* on : {"1", "true", "on", "yes", "2"}) {
+    setenv(kName, on, 1);
+    EXPECT_TRUE(EnvFlag(kName, true)) << on;
+    EXPECT_TRUE(EnvFlag(kName, false)) << on;
+  }
+  unsetenv(kName);
 }
 
 TEST(StatusTest, OkAndErrors) {
