@@ -274,6 +274,13 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
         loss.Backward();
         if (use_plan) plan_session.Seal(loss, make_key());
       }
+      // A diverged objective (e.g. a NaN or huge learning rate) would only
+      // turn into non-finite scores: stop and report it instead.
+      if (!std::isfinite(loss.At(0, 0))) {
+        result.status = util::Status::Internal(
+            "Revelio mask learning diverged: non-finite loss at epoch " + std::to_string(epoch));
+        break;
+      }
       optimizer.Step();
       if (obs::AuditRecord* audit = obs::AuditScope::Current()) {
         audit->loss_curve.push_back(loss.At(0, 0));
@@ -287,6 +294,18 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
     }
     obs::AuditScope::AddPhase("optimize", optimize_span.ElapsedSeconds());
   }
+  // The last Step is not followed by a loss, so check what it left behind.
+  if (result.status.ok()) {
+    auto finite = [](const Tensor& t) {
+      return std::all_of(t.values().begin(), t.values().end(),
+                         [](float v) { return std::isfinite(v); });
+    };
+    if (!finite(flow_mask_params) || !finite(layer_weights)) {
+      result.status = util::Status::Internal(
+          "Revelio mask learning diverged: non-finite masks after the last epoch");
+    }
+  }
+  if (!result.status.ok()) return result;
 
   obs::ScopedSpan extract_span("revelio.extract");
   // Final scores (detached).
@@ -305,6 +324,10 @@ Explanation RevelioExplainer::ExplainImpl(const ExplanationTask& task, Objective
   }
   FlowExplanation flow_explanation =
       ExplainEnumerated(task, edges, std::move(flows).value(), objective);
+  if (!flow_explanation.status.ok()) {
+    explanation.status = flow_explanation.status;
+    return explanation;
+  }
   explanation.edge_scores = std::move(flow_explanation.edge_scores);
   explanation.has_flow_scores = true;
   explanation.flow_scores = std::move(flow_explanation.flow_scores);

@@ -25,6 +25,7 @@
 #include "explain/explainer.h"
 #include "flow/flow_scores.h"
 #include "flow/message_flow.h"
+#include "util/status.h"
 
 namespace revelio::core {
 
@@ -61,6 +62,9 @@ class RevelioExplainer : public explain::Explainer {
     std::vector<std::vector<double>> layer_edge_masks;  // sigmoid outputs, [L][E_layer]
     std::vector<double> edge_scores;  // per base edge
     std::vector<double> layer_weights;  // learned w (length L)
+    // Internal when mask learning diverged (a non-finite loss); the score
+    // vectors are then empty.
+    util::Status status = util::Status::Ok();
   };
   // The task must enumerate to at most options().max_flows flows (ExplainImpl
   // pre-screens and answers ResourceExhausted instead).

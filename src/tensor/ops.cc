@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,8 +29,8 @@
 // The dispatch lives INSIDE the chunk lambdas, so recorded tapes honor the
 // runtime toggle on replay and fused elementwise chains vectorize through
 // the same kernels. Vectorized bodies are bitwise-equal to the scalar loops
-// (mul-then-add per element in the same order) except the dot-product
-// reductions in MatMul's dA, flagged below, which are ulp-bounded.
+// (mul-then-add per element in the same order), MatMul's dA included; the
+// ulp-bounded DotF32 reductions live in ops_spmm.cc and ops_index.cc.
 // Transcendental forwards (Tanh/Sigmoid/Exp/Log/Softplus) stay scalar: libm
 // is not lane-invariant, and they are compute- not bandwidth-bound.
 
@@ -579,15 +580,31 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     if (an->requires_grad) {
       // dA = G * B^T, computed as dot products against rows of B (the
       // transposed-B fast path: both factors are read with unit stride).
-      // dA rows are independent -> partition over i. The SIMD path reduces
-      // each dot with fixed lane partials: ulp-bounded, not bitwise (the
-      // one such kernel on the MatMul path — see simd.h).
+      // dA rows are independent -> partition over i. The SIMD path instead
+      // transposes B once and runs the forward's row-axpy body against B^T
+      // (ga[i,:] += sum_j g[i,j] * B^T[j,:]): each lane folds from +0 over j
+      // ascending like `acc` below, so the result is bitwise-equal. The
+      // transpose lives in per-thread scratch that only grows, never in the
+      // tensor pool, so plan replay stays allocation-free.
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      util::ParallelFor(0, n, RowGrain(row_flops), [g, ga, bv, k, m](int64_t ib, int64_t ie) {
-        if (simd::Enabled()) {
-          simd::MatMulGradARowsF32(g, bv, ga, ib, ie, k, m);
+      const float* bt = nullptr;
+      if (simd::Enabled()) {
+        thread_local std::vector<float> bt_scratch;
+        if (bt_scratch.size() < static_cast<size_t>(k) * m) {
+          bt_scratch.resize(static_cast<size_t>(k) * m);
+        }
+        for (int kk = 0; kk < k; ++kk) {
+          for (int j = 0; j < m; ++j) {
+            bt_scratch[static_cast<size_t>(j) * k + kk] = bv[static_cast<size_t>(kk) * m + j];
+          }
+        }
+        bt = bt_scratch.data();
+      }
+      util::ParallelFor(0, n, RowGrain(row_flops), [g, ga, bv, bt, k, m](int64_t ib, int64_t ie) {
+        if (bt != nullptr) {
+          simd::MatMulAccRowsF32(g, bt, ga, ib, ie, /*k=*/m, /*m=*/k);
           return;
         }
         for (int64_t i = ib; i < ie; ++i) {

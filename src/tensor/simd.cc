@@ -286,6 +286,13 @@ void TanhGradAccF32(const float* g, const float* ov, float* ga, int64_t n) {
 // --- Reductions -------------------------------------------------------------
 
 float DotF32(const float* a, const float* b, int64_t n) {
+  // Short vectors never fill a lane: the serial fold from +0 is exactly what
+  // the reduction below computes for them (all lane partials stay +0).
+  if (n < kW) {
+    float r = 0.0f;
+    for (int64_t i = 0; i < n; ++i) r += a[i] * b[i];
+    return r;
+  }
   VecF32 acc = VecF32::Zero();
   int64_t i = 0;
   for (; i + kW <= n; i += kW) acc = acc + VecF32::Load(a + i) * VecF32::Load(b + i);
@@ -301,12 +308,25 @@ float DotF32(const float* a, const float* b, int64_t n) {
 
 // --- Row-blocked matmul -----------------------------------------------------
 
-// Per output row, j-tiles of 4 (then 1) vectors are held in registers across
-// the whole kk loop, so each output element folds its products in
-// ascending-kk order — the scalar accumulation order — while rows of b stream
-// through with unit stride.
-void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
-                   int m) {
+namespace {
+
+// Stores a finished register accumulator: overwrite (forward) or add into the
+// existing value (dA's `ga += acc`).
+template <bool kAccumulate>
+void StoreRow(VecF32 acc, float* p) {
+  if constexpr (kAccumulate) acc = VecF32::Load(p) + acc;
+  acc.Store(p);
+}
+
+// o[i,:] (+)= sum_kk a[i,kk] * b[kk,:] over rows [ib, ie). Per output row,
+// j-tiles of 4 (then 1) vectors are held in registers across the whole kk
+// loop, so each output element folds its products from +0 in ascending-kk
+// order — the scalar accumulation order — while rows of b stream through
+// with unit stride. a[i,kk] == 0 is skipped: the fold starts at +0 and so
+// never holds -0, which makes adding a zero product a no-op for finite b.
+template <bool kAccumulate>
+void MatMulRowsImpl(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
+                    int m) {
   for (int64_t i = ib; i < ie; ++i) {
     const int64_t abase = i * k;
     float* orow = o + static_cast<size_t>(i) * m;
@@ -326,10 +346,10 @@ void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t
         acc2 = acc2 + av * VecF32::Load(b + bbase + 2 * kW);
         acc3 = acc3 + av * VecF32::Load(b + bbase + 3 * kW);
       }
-      acc0.Store(orow + j);
-      acc1.Store(orow + j + kW);
-      acc2.Store(orow + j + 2 * kW);
-      acc3.Store(orow + j + 3 * kW);
+      StoreRow<kAccumulate>(acc0, orow + j);
+      StoreRow<kAccumulate>(acc1, orow + j + kW);
+      StoreRow<kAccumulate>(acc2, orow + j + 2 * kW);
+      StoreRow<kAccumulate>(acc3, orow + j + 3 * kW);
     }
     for (; j + kW <= m; j += kW) {
       VecF32 acc = VecF32::Zero();
@@ -338,7 +358,7 @@ void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t
         if (aik == 0.0f) continue;
         acc = acc + VecF32::Broadcast(aik) * VecF32::Load(b + static_cast<int64_t>(kk) * m + j);
       }
-      acc.Store(orow + j);
+      StoreRow<kAccumulate>(acc, orow + j);
     }
     for (; j < m; ++j) {
       float acc = 0.0f;
@@ -347,20 +367,25 @@ void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t
         if (aik == 0.0f) continue;
         acc += aik * b[static_cast<int64_t>(kk) * m + j];
       }
-      orow[j] = acc;
+      if constexpr (kAccumulate) {
+        orow[j] += acc;
+      } else {
+        orow[j] = acc;
+      }
     }
   }
 }
 
-void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, int64_t ie, int k,
-                        int m) {
-  for (int64_t i = ib; i < ie; ++i) {
-    const float* grow = g + static_cast<size_t>(i) * m;
-    float* garow = ga + static_cast<size_t>(i) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      garow[kk] += DotF32(grow, b + static_cast<size_t>(kk) * m, m);
-    }
-  }
+}  // namespace
+
+void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
+                   int m) {
+  MatMulRowsImpl</*kAccumulate=*/false>(a, b, o, ib, ie, k, m);
+}
+
+void MatMulAccRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
+                      int m) {
+  MatMulRowsImpl</*kAccumulate=*/true>(a, b, o, ib, ie, k, m);
 }
 
 void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, int64_t ke, int n,

@@ -19,16 +19,19 @@
 //
 // Equivalence contract (proven by tests/prop/simd_equivalence_test.cc):
 //  - Elementwise kernels, axpy-style accumulations and the matmul/spmm
-//    forward kernels are BITWISE-equal to the scalar loops: they issue the
-//    same mul-then-add per element in the same order (no FMA contraction —
-//    simd.cc is never built with -mfma), and the scalar tail runs the
-//    identical expression. Branchy updates (Relu backward) use blends that
-//    preserve the unmodified accumulator bits exactly.
-//  - DotF32 (used by MatMul dA, SpmmBackwardW and RowScale's dscale) is a
+//    kernels (forward and backward) are BITWISE-equal to the scalar loops:
+//    they issue the same mul-then-add per element in the same order (no FMA
+//    contraction — simd.cc is never built with -mfma), and the scalar tail
+//    runs the identical expression. Branchy updates (Relu backward) use
+//    blends that preserve the unmodified accumulator bits exactly. MatMul's
+//    dA runs the row-axpy body against the transposed weight, so each lane
+//    folds in the scalar loop's order with no horizontal reduction.
+//  - DotF32 (used by SpmmBackwardW's per-edge dW and RowScale's dscale) is a
 //    REDUCTION: it keeps kLanes fixed partial sums and reduces them in a
 //    fixed left-to-right order. The result is deterministic at every thread
 //    count, but only ulp-bounded against the serial accumulation order —
-//    the "ulp-bounded" tolerance class of util::proptest. All three dot
+//    the "ulp-bounded" tolerance class of util::proptest. Vectors shorter
+//    than one lane width take the serial fold and are bitwise. Both dot
 //    call sites share this one implementation, so identities that compare
 //    them against each other (fused SpMM vs the legacy chain) stay bitwise.
 //
@@ -99,21 +102,24 @@ void TanhGradAccF32(const float* g, const float* ov, float* ga, int64_t n);
 // --- Reductions — ulp-bounded class ----------------------------------------
 
 // <a, b> with kLanes fixed partials reduced left-to-right. Deterministic,
-// not bitwise-equal to the serial order.
+// not bitwise-equal to the serial order once n >= Lanes(); for n < Lanes()
+// it is the serial fold from +0.
 float DotF32(const float* a, const float* b, int64_t n);
 
 // --- Row-blocked matmul kernels --------------------------------------------
 // All operate on rows [ib, ie) of the output and preserve the scalar loop's
-// per-element accumulation order (bitwise class unless noted). Layouts:
+// per-element accumulation order (bitwise class). Layouts:
 // a is n x k, b is k x m, o is n x m, all row-major.
 
 // o[i,:] = sum_kk a[i,kk] * b[kk,:], zero-filling each row first and
 // skipping a[i,kk] == 0 like the scalar kernel.
 void MatMulRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
                    int m);
-// ga[i,kk] += <g[i,:], b[kk,:]> — DotF32-based, ulp-bounded class.
-void MatMulGradARowsF32(const float* g, const float* b, float* ga, int64_t ib, int64_t ie, int k,
-                        int m);
+// o[i,:] += sum_kk a[i,kk] * b[kk,:]: the same per-element fold from +0 as
+// MatMulRowsF32, added into o at store (`o += acc`). MatMul's dA runs it as
+// (g, b^T, ga, ib, ie, m, k) — bitwise with the scalar dot loop for finite b.
+void MatMulAccRowsF32(const float* a, const float* b, float* o, int64_t ib, int64_t ie, int k,
+                      int m);
 // gb[kk,:] += a[i,kk] * g[i,:] for kk in [kb, ke), i ascending — bitwise.
 void MatMulGradBRowsF32(const float* g, const float* a, float* gb, int64_t kb, int64_t ke, int n,
                         int k, int m);

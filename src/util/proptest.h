@@ -59,7 +59,8 @@ struct CheckResult {
 // Equivalence proofs between kernel variants declare how close "equal" is:
 //   kBitwise        identical bit patterns, element by element. The contract
 //                   for kernels that preserve the serial fold order exactly
-//                   (elementwise ops, axpy accumulations, matmul/spmm forward).
+//                   (elementwise ops, axpy accumulations, matmul forward and
+//                   backward, spmm forward).
 //   kUlpBounded     within `max_ulps` representable-float steps, OR within
 //                   abs_epsilon absolutely (the floor absorbs catastrophic
 //                   cancellation, where a reordered sum lands near zero and

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -120,7 +121,7 @@ TEST_F(ParallelTest, SetNumThreadsIsRespected) {
 // Runs `compute` under `threads` workers and returns the flat values of its
 // result tensors.
 template <typename Fn>
-std::vector<float> RunWithThreads(int threads, Fn compute) {
+auto RunWithThreads(int threads, Fn compute) {
   util::SetNumThreads(threads);
   return compute();
 }
@@ -220,6 +221,47 @@ TEST_F(ParallelTest, OddShapesStayBitwiseAcrossThreadsWithSimd) {
     for (int threads : {2, 7, 16}) {
       EXPECT_EQ(RunWithThreads(threads, compute), serial)
           << s.rows << "x" << s.cols << " at " << threads << " threads";
+    }
+  }
+  tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
+}
+
+TEST_F(ParallelTest, MatMulGradAWorkloadShapesBitwiseAcrossSimdAndThreads) {
+  // MatMul's dA at the shapes the explanation workloads run: (n, k, m) for
+  // A = n x k, a frozen weight B = k x m, and an upstream gradient G = n x m
+  // with about half its entries exactly 0, like a ReLU-masked gradient. The
+  // SIMD path (row-axpy against B^T, zero entries of G skipped) must match
+  // the scalar dot loop bit for bit, at every thread count.
+  struct Shape {
+    int n, k, m;
+  };
+  for (const Shape s : {Shape{37, 32, 4}, Shape{37, 4, 1}, Shape{601, 32, 32}, Shape{5, 13, 7},
+                        Shape{1, 7, 1}}) {
+    auto compute = [s] {
+      util::Rng rng(13);
+      tensor::Tensor a = tensor::Tensor::Randn(s.n, s.k, &rng).WithRequiresGrad();
+      const tensor::Tensor b = tensor::Tensor::Randn(s.k, s.m, &rng);
+      tensor::Tensor g = tensor::Tensor::Randn(s.n, s.m, &rng);
+      for (float& v : *g.mutable_values()) {
+        if (rng.Uniform() < 0.5) v = 0.0f;
+      }
+      // d/dC sum(C * G) = 1 * G: the MatMul receives G exactly.
+      tensor::Sum(tensor::Mul(tensor::MatMul(a, b), g)).Backward();
+      const std::vector<float> ga = a.GradData();
+      std::vector<uint32_t> bits(ga.size());
+      std::memcpy(bits.data(), ga.data(), ga.size() * sizeof(float));
+      return bits;
+    };
+    tensor::simd::SetEnabled(false);
+    util::SetNumThreads(1);
+    const std::vector<uint32_t> reference = compute();
+    for (const bool simd_on : {false, true}) {
+      tensor::simd::SetEnabled(simd_on);
+      for (int threads : {1, 2, 7}) {
+        EXPECT_EQ(RunWithThreads(threads, compute), reference)
+            << "(" << s.n << "," << s.k << "," << s.m << ") simd=" << simd_on << " at "
+            << threads << " threads";
+      }
     }
   }
   tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);

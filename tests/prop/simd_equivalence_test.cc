@@ -3,12 +3,14 @@
 // with SIMD dispatch on as the scalar loops produce with it off, under the
 // op's DECLARED tolerance class:
 //
-//   bitwise       everything except the three DotF32 reductions below — the
+//   bitwise       everything except the two DotF32 reductions below — the
 //                 vector kernels preserve the serial fold order exactly
-//                 (separate mul+add, no FMA, owner-computes partitioning);
-//   ulp-bounded   MatMul backward dA, SpmmCsrWeighted backward dW, and
-//                 RowScale backward dscale, whose shared lane-partial DotF32
-//                 reduces in a different order than the serial loop.
+//                 (separate mul+add, no FMA, owner-computes partitioning),
+//                 MatMul included: its dA runs the row-axpy body against
+//                 the transposed weight, folding in the scalar loop's order;
+//   ulp-bounded   SpmmCsrWeighted backward dW and RowScale backward dscale,
+//                 whose shared lane-partial DotF32 reduces in a different
+//                 order than the serial loop.
 //
 // The grid runs threads {1, 2, 7, 16} x pool {on, off}; a separate test pins
 // the SIMD path itself bitwise across thread counts (chunk boundaries only
@@ -17,6 +19,7 @@
 // inside the recorded chunk closures, not at record time.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,7 +46,7 @@ constexpr uint64_t kSeed = 20260808;
 // scalar stream. The ulp bound is generous for the reordered reductions; the
 // absolute floor absorbs entries where the dot cancels to near zero.
 util::Tolerance ToleranceFor(const std::string& op) {
-  if (op == "MatMul" || op == "SpmmCsrWeighted" || op == "RowScale") {
+  if (op == "SpmmCsrWeighted" || op == "RowScale") {
     return util::Tolerance::Ulps(256, /*abs_floor=*/1e-3);
   }
   return util::Tolerance::Bitwise();
@@ -103,6 +106,32 @@ TEST_F(SimdEquivalenceTest, SimdPathIsBitwiseDeterministicAcrossThreads) {
       util::SetNumThreads(threads);
       EXPECT_EQ(RunOpCaseBitstream(c, kSeed ^ 0x5117ULL), serial)
           << c.op << "/" << c.variant << " diverged at " << threads << " threads";
+    }
+  }
+}
+
+// Vectors shorter than one lane width never fill a lane, so DotF32 must be
+// exactly the serial fold from +0 there (the GAT head_dim = 4 SDDMM in
+// SpmmCsrWeighted's dW hits this on 8-lane builds).
+TEST_F(SimdEquivalenceTest, DotF32ShortVectorsAreTheSerialFold) {
+  util::Rng rng(kSeed + 11);
+  for (int n = 0; n < tensor::simd::Lanes(); ++n) {
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<float> a(n), b(n);
+      for (int i = 0; i < n; ++i) {
+        a[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        // Exact zeros and a signed zero exercise the +0 start of the fold.
+        const float signed_zero = i % 2 == 0 ? -0.0f : 0.0f;
+        b[i] = trial % 4 == 0 ? signed_zero : static_cast<float>(rng.Uniform(-1.0, 1.0));
+      }
+      float serial = 0.0f;
+      for (int i = 0; i < n; ++i) serial += a[i] * b[i];
+      const float dot = tensor::simd::DotF32(a.data(), b.data(), n);
+      uint32_t dot_bits = 0;
+      uint32_t serial_bits = 0;
+      std::memcpy(&dot_bits, &dot, sizeof(dot));
+      std::memcpy(&serial_bits, &serial, sizeof(serial));
+      EXPECT_EQ(dot_bits, serial_bits) << "n=" << n << " trial=" << trial;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include "core/revelio.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "gnn/trainer.h"
 #include "graph/subgraph.h"
 #include "nn/loss.h"
+#include "plan/plan.h"
 
 namespace revelio::core {
 namespace {
@@ -266,6 +268,37 @@ TEST_F(RevelioFixture, PrefilterLargerThanFlowCountIsNoOp) {
   for (size_t e = 0; e < full.edge_scores.size(); ++e) {
     EXPECT_NEAR(filtered.edge_scores[e], full.edge_scores[e], 1e-7);
   }
+}
+
+TEST_F(RevelioFixture, DivergentLearningRateReturnsStatusNotNanScores) {
+  // A NaN or overflowing learning rate drives the masks non-finite. The
+  // explainer must report that as an error, on both the eager and the
+  // recorded-plan epoch paths, instead of returning NaN scores with Ok.
+  const ExplanationTask task = MakeTask();
+  const bool plan_default = plan::ExecPlanEnabled();
+  for (const float learning_rate : {std::numeric_limits<float>::quiet_NaN(), 1e38f}) {
+    for (const bool use_plan : {true, false}) {
+      plan::SetExecPlanEnabled(use_plan);
+      RevelioOptions options;
+      options.epochs = 20;
+      options.learning_rate = learning_rate;
+      RevelioExplainer revelio(options);
+      const explain::Explanation result = revelio.Explain(task, Objective::kFactual);
+      EXPECT_EQ(result.status.code(), util::StatusCode::kInternal)
+          << "lr=" << learning_rate << " plan=" << use_plan << ": " << result.status.ToString();
+      EXPECT_TRUE(result.edge_scores.empty());
+      EXPECT_TRUE(result.flow_scores.empty());
+    }
+  }
+  plan::SetExecPlanEnabled(plan_default);
+  // One epoch: the loss is still finite, only the final Step goes NaN.
+  RevelioOptions one_epoch;
+  one_epoch.epochs = 1;
+  one_epoch.learning_rate = std::numeric_limits<float>::quiet_NaN();
+  const explain::Explanation result =
+      RevelioExplainer(one_epoch).Explain(task, Objective::kFactual);
+  EXPECT_EQ(result.status.code(), util::StatusCode::kInternal) << result.status.ToString();
+  EXPECT_TRUE(result.edge_scores.empty());
 }
 
 TEST_F(RevelioFixture, GraphTaskExplanationCoversAllFlows) {
