@@ -14,15 +14,7 @@
 // bench-regression ctest uses — and `--spmm-out FILE` overrides its output
 // path.
 //
-// A third sweep times a full Revelio explanation (the allocation-heaviest
-// inner loop in the repo) with the tensor pool enabled vs disabled across
-// three graph sizes and writes BENCH_pool.json, recording the bitwise
-// pooled-vs-unpooled score check and the pool miss count of a post-warmup
-// explanation (must be zero: the steady-state contract). `--pool-only` runs
-// just that sweep (with `--quick` sizes when combined); `--pool-out FILE`
-// overrides its output path.
-//
-// A fourth sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
+// A third sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
 // loops against the SIMD tier (tensor/simd.h) at 1 thread — interleaved
 // min-of-N over elementwise/matmul/SpMM. `--simd-out FILE` overrides its
 // output path.
@@ -43,9 +35,7 @@
 #include "flow/message_flow.h"
 #include "gnn/model.h"
 #include "obs/metrics.h"
-#include "plan/plan.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "tensor/simd.h"
 #include "tensor/sparse.h"
 #include "util/parallel.h"
@@ -536,167 +526,6 @@ void RunSpmmSweepAndReport(bool quick, const std::string& out_path) {
   WriteSpmmJson(points, out_path);
 }
 
-// --- Pooled vs legacy allocator sweep (BENCH_pool.json) ----------------------
-
-struct PoolPoint {
-  int nodes = 0;
-  int layer_edges = 0;
-  int epochs = 0;
-  double unpooled_seconds = 0.0;  // one explanation, pool disabled
-  double pooled_seconds = 0.0;    // one explanation, pool enabled and warm
-  double pool_speedup = 0.0;
-  bool bitwise_equal = false;  // pooled vs unpooled edge scores
-  uint64_t warm_misses = 0;    // pool misses in one post-warmup explanation
-  uint64_t warm_hits = 0;
-};
-
-// Times a full Revelio explanation — mask training rebuilds the autograd tape
-// every epoch, the allocation-heaviest loop in the repo — with the pool off
-// (legacy allocator) and on. Pool mode must not change the scores (bitwise
-// check), and after a two-explanation warmup every buffer must come from the
-// free lists (warm_misses == 0). 1 thread so all stats land on this thread's
-// pool.
-std::vector<PoolPoint> RunPoolSweep(bool quick) {
-  util::SetNumThreads(1);
-  const std::vector<int> sizes =
-      quick ? std::vector<int>{16, 32, 64} : std::vector<int>{32, 64, 128};
-  const int epochs = quick ? 8 : 24;
-  const bool pool_was_enabled = tensor::PoolEnabled();
-  // This sweep measures the per-epoch allocator cost of the EAGER loop; with
-  // a recorded plan replaying, epochs after the first allocate nothing and
-  // the pooled-vs-legacy contrast vanishes. (bench_table5_runtime
-  // --plan-sweep covers the plan path.)
-  const bool plan_was_enabled = plan::ExecPlanEnabled();
-  plan::SetExecPlanEnabled(false);
-  std::vector<PoolPoint> points;
-  util::Rng rng(31);
-  for (int nodes : sizes) {
-    graph::Graph g(nodes);
-    for (int v = 1; v < nodes; ++v) g.AddUndirectedEdge(v, rng.UniformInt(v));
-    gnn::GnnConfig config;
-    config.arch = gnn::GnnArch::kGcn;
-    config.input_dim = 16;
-    config.hidden_dim = 32;
-    config.num_classes = 4;
-    gnn::GnnModel model(config);
-    model.Freeze();
-    tensor::Tensor x = tensor::Tensor::Randn(nodes, config.input_dim, &rng);
-    explain::ExplanationTask task;
-    task.model = &model;
-    task.graph = &g;
-    task.features = x;
-    task.target_node = 0;
-    task.target_class = 0;
-    core::RevelioOptions options;
-    options.epochs = epochs;
-    core::RevelioExplainer explainer(options);
-    auto explain_once = [&] { return explainer.Explain(task, explain::Objective::kFactual); };
-
-    PoolPoint point;
-    point.nodes = nodes;
-    point.layer_edges = gnn::BuildLayerEdges(g).num_layer_edges();
-    point.epochs = epochs;
-
-    auto time_once = [&] {
-      util::Timer timer;
-      explain::Explanation e = explain_once();
-      benchmark::DoNotOptimize(e);
-      return timer.ElapsedSeconds();
-    };
-
-    tensor::SetPoolEnabled(false);
-    const explain::Explanation unpooled = explain_once();  // also warms caches
-
-    tensor::SetPoolEnabled(true);
-    (void)explain_once();  // warmup 1 primes the size classes
-    (void)explain_once();  // warmup 2 reaches the steady state
-    if (tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal()) {
-      const tensor::PoolStats before = pool->stats();
-      const explain::Explanation pooled = explain_once();
-      const tensor::PoolStats after = pool->stats();
-      point.warm_misses = after.misses - before.misses;
-      point.warm_hits = after.hits - before.hits;
-      point.bitwise_equal = pooled.edge_scores == unpooled.edge_scores;
-    }
-
-    // Interleaved A/B timing: alternate unpooled and pooled blocks so CPU
-    // frequency drift and scheduling noise hit both modes equally; report the
-    // min over all of a mode's trials. Disabling the pool trims this thread's
-    // free lists, so each block runs one untimed explanation after the mode
-    // switch (for the pooled block that re-warm is load-bearing).
-    constexpr int kBlocks = 3;
-    constexpr int kTrialsPerBlock = 3;
-    double unpooled_best = std::numeric_limits<double>::infinity();
-    double pooled_best = std::numeric_limits<double>::infinity();
-    for (int block = 0; block < kBlocks; ++block) {
-      tensor::SetPoolEnabled(false);
-      (void)explain_once();
-      for (int trial = 0; trial < kTrialsPerBlock; ++trial) {
-        unpooled_best = std::min(unpooled_best, time_once());
-      }
-      tensor::SetPoolEnabled(true);
-      (void)explain_once();
-      for (int trial = 0; trial < kTrialsPerBlock; ++trial) {
-        pooled_best = std::min(pooled_best, time_once());
-      }
-    }
-    point.unpooled_seconds = unpooled_best;
-    point.pooled_seconds = pooled_best;
-    point.pool_speedup =
-        point.pooled_seconds > 0.0 ? point.unpooled_seconds / point.pooled_seconds : 0.0;
-    points.push_back(point);
-  }
-  tensor::SetPoolEnabled(pool_was_enabled);
-  plan::SetExecPlanEnabled(plan_was_enabled);
-  return points;
-}
-
-void WritePoolJson(const std::vector<PoolPoint>& points, const std::string& path) {
-  bench::WriteBenchJson(path, "tensor_pool", [&](obs::JsonWriter* w) {
-    w->BeginObject();
-    w->Key("points");
-    w->BeginArray();
-    for (const PoolPoint& p : points) {
-      w->BeginObject();
-      w->Key("nodes");
-      w->Int(p.nodes);
-      w->Key("layer_edges");
-      w->Int(p.layer_edges);
-      w->Key("epochs");
-      w->Int(p.epochs);
-      w->Key("unpooled_seconds");
-      w->Double(p.unpooled_seconds);
-      w->Key("pooled_seconds");
-      w->Double(p.pooled_seconds);
-      w->Key("pool_speedup");
-      w->Double(p.pool_speedup);
-      w->Key("bitwise_equal");
-      w->Bool(p.bitwise_equal);
-      w->Key("warm_misses");
-      w->Int(static_cast<int64_t>(p.warm_misses));
-      w->Key("warm_hits");
-      w->Int(static_cast<int64_t>(p.warm_hits));
-      w->EndObject();
-    }
-    w->EndArray();
-    w->EndObject();
-  });
-}
-
-void RunPoolSweepAndReport(bool quick, const std::string& out_path) {
-  std::printf("== pooled vs legacy allocator sweep (writes %s) ==\n", out_path.c_str());
-  const std::vector<PoolPoint> points = RunPoolSweep(quick);
-  for (const PoolPoint& p : points) {
-    std::printf(
-        "pool nodes=%-5d layer_edges=%-6d epochs=%-3d  unpooled %8.5fs  pooled %8.5fs  "
-        "speedup=%5.2fx  bitwise_equal=%s  warm_misses=%llu  warm_hits=%llu\n",
-        p.nodes, p.layer_edges, p.epochs, p.unpooled_seconds, p.pooled_seconds, p.pool_speedup,
-        p.bitwise_equal ? "yes" : "NO", static_cast<unsigned long long>(p.warm_misses),
-        static_cast<unsigned long long>(p.warm_hits));
-  }
-  WritePoolJson(points, out_path);
-}
-
 // --- SIMD tier sweep (BENCH_simd.json) ---------------------------------------
 
 struct SimdPoint {
@@ -854,18 +683,11 @@ int main(int argc, char** argv) {
   if (flags.Has("threads")) util::SetNumThreads(flags.GetInt("threads", 1));
   const bool quick = flags.GetBool("quick", false);
   const std::string spmm_out = flags.GetString("spmm-out", "BENCH_spmm.json");
-  const std::string pool_out = flags.GetString("pool-out", "BENCH_pool.json");
   const std::string simd_out = flags.GetString("simd-out", "BENCH_simd.json");
   if (flags.GetBool("simd-sweep", false)) {
     // Scalar-vs-SIMD sweep only: the simd-regression ctest
     // path (with `--quick` sizes when combined).
     RunSimdSweepAndReport(quick, simd_out);
-    benchmark::Shutdown();
-    return 0;
-  }
-  if (flags.GetBool("pool-only", false)) {
-    // Reduced-size allocator sweep only: the pool-regression ctest path.
-    RunPoolSweepAndReport(quick, pool_out);
     benchmark::Shutdown();
     return 0;
   }
@@ -877,7 +699,6 @@ int main(int argc, char** argv) {
   }
   RunThreadSweep();
   RunSpmmSweepAndReport(/*quick=*/false, spmm_out);
-  RunPoolSweepAndReport(/*quick=*/false, pool_out);
   RunSimdSweepAndReport(/*quick=*/false, simd_out);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

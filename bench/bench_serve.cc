@@ -8,9 +8,8 @@
 // carries a 12ms deadline. An independent arithmetic oracle replays the same
 // trace — the server's accepted/rejected/timed-out counts must match it
 // EXACTLY, and every served explanation must be bitwise-equal to batch
-// eval::ExplainAll over the same tasks. The explainers really run (only time
-// is virtual), so the phase also asserts the warm-pool steady state: zero
-// pool misses after the warmup window.
+// eval::ExplainAll over the same tasks. The explainers really run; only time
+// is virtual.
 //
 // Phase B — throughput (real clock). A fresh server with worker threads and
 // coalescing enabled serves the same request population; p50/p95/p99 latency
@@ -59,9 +58,7 @@ constexpr double kCalmGapMs = 6.0;             // mean inter-arrival, calm perio
 constexpr double kBurstGapMs = 0.5;            // mean inter-arrival inside bursts
 constexpr double kP99BoundSeconds = 30.0;      // quick-trace SLO envelope
 
-// One fixed 10-node ring-with-chords shared by every request: identical
-// tensor shapes across the whole trace are what make the zero-miss warm-pool
-// gate exact.
+// One fixed 10-node ring-with-chords shared by every request.
 graph::Graph MakeServeGraph() {
   graph::Graph graph(kNumNodes);
   for (int v = 0; v < kNumNodes; ++v) graph.AddUndirectedEdge(v, (v + 1) % kNumNodes);
@@ -237,7 +234,6 @@ int Run(int argc, char** argv) {
   serve::ServeOptions replay_options;
   replay_options.queue_capacity = queue_depth;
   replay_options.coalesce = false;  // one dequeue per virtual service slot
-  replay_options.warmup_requests = 4;
   replay_options.clock = &manual_clock;
   serve::ExplanationServer replay_server(&registry, replay_options);
   replay_server.RegisterExplainer("Revelio",
@@ -294,8 +290,7 @@ int Run(int argc, char** argv) {
   LOG_INFO << "phase A replay: accepted " << replay_stats.accepted << "/" << num_requests
            << " (oracle " << oracle.accepted << "), rejected " << replay_stats.rejected_full
            << " (oracle " << oracle.rejected_full << "), timed out " << replay_stats.timed_out
-           << " (oracle " << oracle.timed_out << "), warm pool misses "
-           << replay_stats.warm_pool_misses;
+           << " (oracle " << oracle.timed_out << ")";
 
   // --- Phase B: real-clock throughput with workers + coalescing.
   obs::SetEnabled(true);
@@ -380,10 +375,6 @@ int Run(int argc, char** argv) {
     w->Uint(served_checked);
     w->Key("bitwise_equal");
     w->Bool(bitwise_equal);
-    w->Key("warm_hits");
-    w->Uint(replay_stats.warm_pool_hits);
-    w->Key("warm_misses");
-    w->Uint(replay_stats.warm_pool_misses);
     w->Key("baseline_seconds");
     w->Double(baseline_seconds);
     w->Key("serve_seconds");

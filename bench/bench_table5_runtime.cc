@@ -15,7 +15,6 @@
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "plan/plan.h"
-#include "tensor/pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -98,92 +97,13 @@ int main(int argc, char** argv) {
               "with 500 epochs. Shapes to compare: GradCAM/DeepLIFT fastest, SubgraphX\n"
               "slowest, Revelio fastest among flow-based methods on flow-heavy datasets.\n");
 
-  // --pool-out FILE: re-run the Revelio column with the tensor pool disabled
-  // and enabled and write the per-dataset comparison (the Table V counterpart
-  // of the micro-kernel pool sweep; scores must match bitwise).
-  const std::string pool_out = flags.GetString("pool-out", "");
-  if (!pool_out.empty()) {
-    struct PoolRow {
-      std::string dataset;
-      int instances = 0;
-      double unpooled_seconds = 0.0;
-      double pooled_seconds = 0.0;
-      double pool_speedup = 0.0;
-      bool bitwise_equal = false;
-    };
-    std::vector<PoolRow> rows;
-    const bool pool_was_enabled = tensor::PoolEnabled();
-    std::printf("\n== Revelio pooled vs unpooled (writes %s) ==\n", pool_out.c_str());
-    for (size_t d = 0; d < scope.datasets.size(); ++d) {
-      auto explainer = eval::MakeExplainer("Revelio", scope.config);
-      std::vector<explain::ExplanationTask> tasks;
-      tasks.reserve(instances[d].size());
-      for (const auto& instance : instances[d]) {
-        tasks.push_back(instance.MakeTask(prepared[d].model.get()));
-      }
-      auto run = [&] {
-        util::Timer timer;
-        std::vector<explain::Explanation> explanations =
-            eval::ExplainAll(explainer.get(), tasks, explain::Objective::kFactual);
-        return std::pair<std::vector<explain::Explanation>, double>(std::move(explanations),
-                                                                    timer.ElapsedSeconds());
-      };
-      PoolRow row;
-      row.dataset = scope.datasets[d];
-      row.instances = static_cast<int>(tasks.size());
-      tensor::SetPoolEnabled(false);
-      (void)run();  // warm model/graph caches
-      auto [unpooled, unpooled_seconds] = run();
-      row.unpooled_seconds = unpooled_seconds;
-      tensor::SetPoolEnabled(true);
-      (void)run();  // prime each worker thread's pool
-      auto [pooled, pooled_seconds] = run();
-      row.pooled_seconds = pooled_seconds;
-      row.pool_speedup = pooled_seconds > 0.0 ? unpooled_seconds / pooled_seconds : 0.0;
-      row.bitwise_equal = true;
-      for (size_t i = 0; i < pooled.size(); ++i) {
-        if (pooled[i].edge_scores != unpooled[i].edge_scores) row.bitwise_equal = false;
-      }
-      std::printf("%-12s instances=%-3d  unpooled %8.4fs  pooled %8.4fs  speedup=%5.2fx  "
-                  "bitwise_equal=%s\n",
-                  row.dataset.c_str(), row.instances, row.unpooled_seconds, row.pooled_seconds,
-                  row.pool_speedup, row.bitwise_equal ? "yes" : "NO");
-      rows.push_back(std::move(row));
-    }
-    tensor::SetPoolEnabled(pool_was_enabled);
-    bench::WriteBenchJson(pool_out, "table5_pool", [&](obs::JsonWriter* w) {
-      w->BeginObject();
-      w->Key("points");
-      w->BeginArray();
-      for (const PoolRow& r : rows) {
-        w->BeginObject();
-        w->Key("dataset");
-        w->String(r.dataset);
-        w->Key("instances");
-        w->Int(r.instances);
-        w->Key("unpooled_seconds");
-        w->Double(r.unpooled_seconds);
-        w->Key("pooled_seconds");
-        w->Double(r.pooled_seconds);
-        w->Key("pool_speedup");
-        w->Double(r.pool_speedup);
-        w->Key("bitwise_equal");
-        w->Bool(r.bitwise_equal);
-        w->EndObject();
-      }
-      w->EndArray();
-      w->EndObject();
-    });
-  }
-
   // --plan-sweep FILE: measure the recorded-execution-plan replay path
   // (REVELIO_EXEC_PLAN, DESIGN.md section 12) against the fully eager loop at
   // increasing epoch counts. Epoch 0 records the tape either way; every
   // further epoch replays it (fused elementwise chains, level-parallel
-  // steps, zero pool traffic), so the speedup grows as the record cost
+  // steps, no allocation), so the speedup grows as the record cost
   // amortizes — the largest epoch count is the gated point. Every point must
-  // stay bitwise-equal and report zero replay-time pool acquisitions. Run
-  // with --threads 1 for the paper comparison.
+  // stay bitwise-equal. Run with --threads 1 for the paper comparison.
   const std::string plan_sweep_out = flags.GetString("plan-sweep", "");
   if (!plan_sweep_out.empty()) {
     struct PlanRow {
@@ -195,15 +115,12 @@ int main(int argc, char** argv) {
       double plan_speedup = 0.0;
       bool bitwise_equal = true;
       uint64_t replays = 0;
-      uint64_t replay_pool_acquires = 0;
     };
     std::vector<PlanRow> rows;
     const bool plan_was_enabled = plan::ExecPlanEnabled();
     const bool metrics_were_enabled = obs::Enabled();
     obs::SetEnabled(true);  // the sweep reads the plan.* counters
     obs::Counter* replays_counter = obs::MetricsRegistry::Global().GetCounter("plan.replays");
-    obs::Counter* acquires_counter =
-        obs::MetricsRegistry::Global().GetCounter("plan.replay_pool_acquires");
     constexpr int kPlanReps = 5;
     std::printf("\n== Revelio plan replay vs eager (writes %s) ==\n", plan_sweep_out.c_str());
     for (size_t d = 0; d < scope.datasets.size(); ++d) {
@@ -234,7 +151,7 @@ int main(int argc, char** argv) {
         row.dataset = scope.datasets[d];
         row.instances = static_cast<int>(tasks.size());
         row.epochs = epochs;
-        // Warm both modes (model/graph caches, pool size classes), then take
+        // Warm both modes (model/graph caches), then take
         // the best of interleaved reps so scheduler drift hits both equally.
         plan::SetExecPlanEnabled(false);
         (void)run();
@@ -249,10 +166,8 @@ int main(int argc, char** argv) {
           auto [eager, eager_seconds] = run();
           plan::SetExecPlanEnabled(true);
           const uint64_t replays_before = replays_counter->Total();
-          const uint64_t acquires_before = acquires_counter->Total();
           auto [planned, plan_seconds] = run();
           row.replays = replays_counter->Total() - replays_before;
-          row.replay_pool_acquires += acquires_counter->Total() - acquires_before;
           if (rep == 0 || eager_seconds < eager_best) eager_best = eager_seconds;
           if (rep == 0 || plan_seconds < plan_best) plan_best = plan_seconds;
           if (rep == 0) {
@@ -271,10 +186,9 @@ int main(int argc, char** argv) {
           }
         }
         std::printf("%-12s epochs=%-3d  eager %8.4fs  plan %8.4fs  speedup=%5.2fx  "
-                    "replays=%llu  replay_acquires=%llu  bitwise_equal=%s\n",
+                    "replays=%llu  bitwise_equal=%s\n",
                     row.dataset.c_str(), row.epochs, row.eager_seconds, row.plan_seconds,
                     row.plan_speedup, static_cast<unsigned long long>(row.replays),
-                    static_cast<unsigned long long>(row.replay_pool_acquires),
                     row.bitwise_equal ? "yes" : "NO");
         rows.push_back(std::move(row));
       }
@@ -303,8 +217,6 @@ int main(int argc, char** argv) {
         w->Bool(r.bitwise_equal);
         w->Key("replays");
         w->Uint(r.replays);
-        w->Key("replay_pool_acquires");
-        w->Uint(r.replay_pool_acquires);
         w->EndObject();
       }
       w->EndArray();
@@ -350,7 +262,7 @@ int main(int argc, char** argv) {
       ObsRow row;
       row.dataset = scope.datasets[d];
       row.instances = static_cast<int>(tasks.size());
-      // Warm both modes: caches/pool for off, name interning + ring shards
+      // Warm both modes: caches for off, name interning + ring shards
       // for on, so neither mode pays first-touch costs inside the timing.
       obs::SetFlightEnabled(false);
       (void)run();

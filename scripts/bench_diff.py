@@ -29,7 +29,6 @@ from pathlib import Path
 # "lower":  take the max (worst) over data.points and fail when it rises.
 PRIMARY_FIELDS = {
     "spmm_fused_vs_chain": ("fused_speedup", "higher"),
-    "tensor_pool": ("pool_speedup", "higher"),
     "plan_sweep": ("plan_speedup", "higher"),
     "table5_obs": ("overhead_ratio", "lower"),
     "serve_trace": ("serve_speedup", "higher"),

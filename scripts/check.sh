@@ -6,13 +6,12 @@
 # (plan_equivalence_test); the TSan pass runs each as its own named
 # stage so a data race in the fused aggregation path, the concurrent
 # instance-parallel serving groups, or the level-parallel plan executor is
-# attributed directly. The
-# pool and plan stages rerun their equivalence suites under ASan with
-# REVELIO_POISON_POOL=1 so full-overwrite contract violations surface as NaNs,
-# and the simd stage does the same for the SIMD equivalence suite: any vector
-# sweep that over-reads past a tensor's end or treats a poisoned pooled buffer
-# as data trips ASan or the tolerance check respectively. (UBSan covers the
-# intrinsic wrappers too — simd.cc is in the instrumented smoke set, so
+# attributed directly. The plan and simd stages rerun their equivalence
+# suites under ASan, including the plan replay over NaN-filled outputs
+# (plan_equivalence_test), so full-overwrite contract violations surface as
+# NaNs: any vector sweep that over-reads past a tensor's end or reads a stale
+# output as data trips ASan or the bitwise check respectively. (UBSan covers
+# the intrinsic wrappers too — simd.cc is in the instrumented smoke set, so
 # misaligned or out-of-range lane arithmetic fails the ubsan stage.)
 #
 # Usage: scripts/check.sh [--fast] [-j N]
@@ -81,20 +80,16 @@ run_stage "san-smoke"  ctest --test-dir build -L san --output-on-failure
 if [[ "${FAST}" -eq 0 ]]; then
   run_stage "asan-build"  build_preset asan
   run_stage "asan"        ctest --preset asan
-  # Pool equivalence again under ASan with NaN-poisoned recycled buffers: any
-  # kernel reading an "uninitialized" pooled output trips the bitwise check
-  # while ASan watches the allocator itself.
-  run_stage "pool"        env REVELIO_POISON_POOL=1 ctest --preset asan -R pool_equivalence_test
-  # Plan replay again under ASan with NaN-poisoned recycled buffers: replay
-  # writes every arena slot in place, so a step that skips (or under-writes)
-  # an output surfaces as a NaN in the bitwise comparison while ASan watches
-  # the arena's bounds.
-  run_stage "plan"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "plan_equivalence_test|plan_test"
-  # SIMD equivalence under ASan with NaN-poisoned recycled buffers: the vector
-  # sweeps must never read past n (the scalar tail owns the remainder).
-  # parallel_test adds MatMul's dA at the workload shapes (short inner
-  # lengths, half-zero gradients) through the transposed-weight scratch.
-  run_stage "simd"        env REVELIO_POISON_POOL=1 ctest --preset asan -R "simd_equivalence_test|parallel_test"
+  # Plan replay again under ASan: replay reruns every kernel in place, so the
+  # NaN-prefill test turns a step that skips (or under-writes) an output into
+  # a NaN in the bitwise comparison while ASan watches the buffers' bounds.
+  run_stage "plan"        ctest --preset asan -R "plan_equivalence_test|plan_test"
+  # SIMD equivalence under ASan: the vector sweeps must never read past n
+  # (the scalar tail owns the remainder), and the NaN-prefill replay test
+  # reruns the SIMD kernels over NaN-filled outputs. parallel_test adds
+  # MatMul's dA at the workload shapes (short inner lengths, half-zero
+  # gradients) through the transposed-weight scratch.
+  run_stage "simd"        ctest --preset asan -R "simd_equivalence_test|parallel_test|plan_equivalence_test"
   run_stage "ubsan-build" build_preset ubsan
   run_stage "ubsan"       ctest --preset ubsan
   run_stage "tsan-build"  build_preset tsan
@@ -109,8 +104,8 @@ if [[ "${FAST}" -eq 0 ]]; then
   # recorder's lock-free ring takes concurrent writes from several
   # ParallelFor regions sharing one frozen model while TSan watches.
   run_stage "tsan-flight" env REVELIO_FLIGHT_RECORDER=1 ctest --preset tsan -R serve_equivalence_test
-  # Plan replay under TSan: level-parallel step execution shares the arena
-  # across pool workers, and re-record after invalidation races the global
+  # Plan replay under TSan: level-parallel step execution shares the tape
+  # across thread-pool workers, and re-record after invalidation races the global
   # plan version bump; both must stay clean across thread counts.
   run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test"
   run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|plan_equivalence_test|plan_test"

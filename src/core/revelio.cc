@@ -230,7 +230,7 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
     obs::ScopedSpan optimize_span("revelio.optimize");
     // Recorded execution plan (DESIGN.md §12): epoch 0 records the op tape
     // while running eagerly; later epochs replay it (fused + level-parallel,
-    // no pool traffic) with bitwise-identical results. Retained handles read
+    // allocation-free) with bitwise-identical results. Retained handles read
     // this epoch's values in place after a replay.
     const bool use_plan = plan::ExecPlanEnabled();
     plan::PlanSession plan_session;
@@ -287,20 +287,15 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
         audit->mask_entropy.push_back(
             MeanMaskEntropy(omega_flows, options_.use_tanh_flow_masks));
       }
-      // Legacy path: recycle this epoch's intermediates (after the first
-      // epoch primes the pool's size classes the loop runs allocation-free).
-      // The plan path instead keeps the tape pinned for replay.
+      // Eager path: free this epoch's intermediates. The plan path instead
+      // keeps the tape pinned for replay.
       if (!use_plan) loss.ReleaseTape();
     }
     obs::AuditScope::AddPhase("optimize", optimize_span.ElapsedSeconds());
   }
   // The last Step is not followed by a loss, so check what it left behind.
   if (result.status.ok()) {
-    auto finite = [](const Tensor& t) {
-      return std::all_of(t.values().begin(), t.values().end(),
-                         [](float v) { return std::isfinite(v); });
-    };
-    if (!finite(flow_mask_params) || !finite(layer_weights)) {
+    if (!explain::AllFinite(flow_mask_params) || !explain::AllFinite(layer_weights)) {
       result.status = util::Status::Internal(
           "Revelio mask learning diverged: non-finite masks after the last epoch");
     }

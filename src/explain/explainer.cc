@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/parallel.h"
 
 namespace revelio::explain {
@@ -38,13 +37,10 @@ void FillAuditResult(obs::AuditRecord* record, const Explanation& result) {
 }
 
 void FillAuditCall(obs::AuditRecord* record, const std::string& method, Objective objective,
-                   const tensor::PoolStats& pool_delta, double wall_seconds) {
+                   double wall_seconds) {
   record->method = method;
   record->objective = ObjectiveName(objective);
-  record->pool_hits = pool_delta.hits;
-  record->pool_misses = pool_delta.misses;
   record->wall_seconds = wall_seconds;
-  record->config.emplace_back("tensor_pool", tensor::PoolEnabled() ? "1" : "0");
 }
 
 }  // namespace
@@ -61,17 +57,13 @@ Explanation Explainer::Explain(const ExplanationTask& task, Objective objective)
                                                               : std::string());
   static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("explain.calls");
   calls->Increment();
-  // One pool scope per explanation: on exit the calling thread's tensor pool
-  // is trimmed back to its high-water mark, so repeated explanations reuse
-  // the same buffers instead of growing the retained set.
-  tensor::MemoryScope pool_scope("explain");
   obs::AuditScope audit;
   if (!audit.active()) return ExplainImpl(task, objective);
 
   FillAuditTaskShape(audit.record(), task);
   Explanation result = ExplainImpl(task, objective);
   FillAuditResult(audit.record(), result);
-  FillAuditCall(audit.record(), name(), objective, pool_scope.Delta(), span.ElapsedSeconds());
+  FillAuditCall(audit.record(), name(), objective, span.ElapsedSeconds());
   audit.Submit();
   return result;
 }
@@ -88,9 +80,7 @@ std::vector<Explanation> Explainer::ExplainBatch(const std::vector<const Explana
   }
   // One slot per instance, one writer per slot. Tensor ops inside Explain
   // detect the enclosing region and run serially (instance-level parallelism
-  // wins over kernel-level). Each worker thread keeps its own tensor pool, so
-  // the first instance a worker handles primes its size classes and the rest
-  // of its share runs allocation-free.
+  // wins over kernel-level).
   Explanation* out = results.data();
   const ExplanationTask* const* in = tasks.data();
   util::ParallelFor(0, static_cast<int64_t>(tasks.size()), 1,
@@ -143,6 +133,11 @@ util::Status ValidateExplanationTask(const ExplanationTask& task) {
         std::to_string(config.num_classes) + " classes");
   }
   return util::Status::Ok();
+}
+
+bool AllFinite(const tensor::Tensor& t) {
+  return std::all_of(t.values().begin(), t.values().end(),
+                     [](float v) { return std::isfinite(v); });
 }
 
 tensor::Tensor CloneFeatures(const ExplanationTask& task) {

@@ -82,6 +82,7 @@ Explanation GnnExplainerMethod::ExplainImpl(const ExplanationTask& task, Objecti
                           static_cast<uint64_t>(task.target_class),
                           static_cast<uint64_t>(objective == Objective::kFactual ? 1 : 0)}};
   };
+  Explanation explanation;
   Tensor base_mask;
   Tensor loss;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -115,18 +116,31 @@ Explanation GnnExplainerMethod::ExplainImpl(const ExplanationTask& task, Objecti
       loss.Backward();
       if (use_plan) plan_session.Seal(loss, make_key());
     }
+    // A diverged objective (e.g. a huge learning rate) would only turn into
+    // NaN edge scores: stop and report it instead.
+    if (!std::isfinite(loss.At(0, 0))) {
+      explanation.status = util::Status::Internal(
+          "GNNExplainer mask learning diverged: non-finite loss at epoch " +
+          std::to_string(epoch));
+      break;
+    }
     optimizer.Step();
     if (obs::AuditRecord* audit = obs::AuditScope::Current()) {
       audit->loss_curve.push_back(loss.At(0, 0));
       audit->mask_entropy.push_back(MeanSigmoidMaskEntropy(base_mask));
     }
-    // Legacy path: each epoch's intermediates go back to the tensor pool (the
-    // plan path keeps the tape pinned for replay instead).
+    // Eager path: free each epoch's intermediates (the plan path keeps the
+    // tape pinned for replay instead).
     if (!use_plan) loss.ReleaseTape();
   }
   obs::AuditScope::AddPhase("optimize", optimize_span.ElapsedSeconds());
+  // The last Step is not followed by a loss, so check what it left behind.
+  if (explanation.status.ok() && !AllFinite(mask_params)) {
+    explanation.status = util::Status::Internal(
+        "GNNExplainer mask learning diverged: non-finite masks after the last epoch");
+  }
+  if (!explanation.status.ok()) return explanation;
 
-  Explanation explanation;
   explanation.edge_scores.resize(num_base);
   Tensor final_mask = tensor::Sigmoid(mask_params);
   for (int e = 0; e < num_base; ++e) {

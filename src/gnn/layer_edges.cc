@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "tensor/pool.h"
-
 namespace revelio::gnn {
 
 LayerEdgeSet BuildLayerEdges(const graph::Graph& graph) {
@@ -68,18 +66,14 @@ LayerEdgeSet BuildLayerEdges(const graph::Graph& graph) {
 
 std::vector<float> GcnCoefficients(const graph::Graph& graph, const LayerEdgeSet& edges) {
   std::vector<int> in_degrees = graph.InDegrees();
-  // Per-forward scratch comes from the tensor pool: callers move the result
-  // into a Tensor (FromData), whose node returns the buffer on destruction.
-  std::vector<float> inv_sqrt = tensor::AcquireBuffer(static_cast<size_t>(graph.num_nodes()));
+  std::vector<float> inv_sqrt(static_cast<size_t>(graph.num_nodes()));
   for (int v = 0; v < graph.num_nodes(); ++v) {
     inv_sqrt[v] = 1.0f / std::sqrt(static_cast<float>(in_degrees[v] + 1));
   }
-  std::vector<float> coefficients =
-      tensor::AcquireBuffer(static_cast<size_t>(edges.num_layer_edges()));
+  std::vector<float> coefficients(static_cast<size_t>(edges.num_layer_edges()));
   for (int e = 0; e < edges.num_layer_edges(); ++e) {
     coefficients[e] = inv_sqrt[edges.src[e]] * inv_sqrt[edges.dst[e]];
   }
-  tensor::ReleaseBuffer(&inv_sqrt);
   return coefficients;
 }
 

@@ -6,7 +6,6 @@
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "util/flags.h"
 
 namespace revelio::gnn {
@@ -53,16 +52,12 @@ GcnLayer::GcnLayer(int in_dim, int out_dim, util::Rng* rng, bool normalize)
 std::vector<float> GcnLayer::Coefficients(const graph::Graph& graph,
                                           const LayerEdgeSet& edges) const {
   if (normalize_) return GcnCoefficients(graph, edges);
-  std::vector<float> ones = tensor::AcquireBuffer(static_cast<size_t>(edges.num_layer_edges()));
-  std::fill(ones.begin(), ones.end(), 1.0f);
-  return ones;
+  return std::vector<float>(static_cast<size_t>(edges.num_layer_edges()), 1.0f);
 }
 
 tensor::Tensor GcnLayer::Forward(const graph::Graph& graph, const LayerEdgeSet& edges,
                                  const tensor::Tensor& h, const tensor::Tensor& edge_mask) const {
   Tensor hw = linear_->Forward(h);
-  // FromData moves the pooled coefficient buffer into the tensor node, which
-  // returns it to the pool on destruction.
   Tensor scale = Tensor::FromData(edges.num_layer_edges(), 1, Coefficients(graph, edges));
   if (edge_mask.defined()) scale = tensor::Mul(scale, edge_mask);
   Tensor aggregated = AggregateMessages(edges, scale, hw);
@@ -80,12 +75,8 @@ GinLayer::GinLayer(int in_dim, int out_dim, util::Rng* rng, float eps)
 tensor::Tensor GinLayer::Forward(const graph::Graph& graph, const LayerEdgeSet& edges,
                                  const tensor::Tensor& h, const tensor::Tensor& edge_mask) const {
   (void)graph;
-  std::vector<float> coefficients =
-      tensor::AcquireBuffer(static_cast<size_t>(edges.num_layer_edges()));
+  std::vector<float> coefficients(static_cast<size_t>(edges.num_layer_edges()), 1.0f + eps_);
   std::fill(coefficients.begin(), coefficients.begin() + edges.num_base_edges, 1.0f);
-  for (int e = edges.num_base_edges; e < edges.num_layer_edges(); ++e) {
-    coefficients[e] = 1.0f + eps_;
-  }
   Tensor scale = Tensor::FromData(edges.num_layer_edges(), 1, std::move(coefficients));
   if (edge_mask.defined()) scale = tensor::Mul(scale, edge_mask);
   Tensor aggregated = AggregateMessages(edges, scale, h);

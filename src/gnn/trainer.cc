@@ -81,8 +81,8 @@ TrainMetrics TrainNodeModel(GnnModel* model, const graph::Graph& graph,
     optimizer.Step();
     metrics.final_loss = loss.Value();
     metrics.loss_curve.push_back(loss.Value());
-    // Return this epoch's intermediates to the tensor pool; parameter values
-    // and the recorded loss value survive the release.
+    // Free this epoch's intermediates; parameter values and the recorded
+    // loss value survive the release.
     loss.ReleaseTape();
     ObserveTrainEpoch(epoch_span.ElapsedSeconds());
     if (config.verbose && (epoch % 20 == 0 || epoch + 1 == config.epochs)) {

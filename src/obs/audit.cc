@@ -76,13 +76,6 @@ std::string AuditRecordToJson(const AuditRecord& record) {
   AppendDoubleArray(&writer, "loss_curve", record.loss_curve);
   AppendDoubleArray(&writer, "mask_entropy", record.mask_entropy);
   AppendDoubleArray(&writer, "top_scores", record.top_scores);
-  writer.Key("pool");
-  writer.BeginObject();
-  writer.Key("hits");
-  writer.Uint(record.pool_hits);
-  writer.Key("misses");
-  writer.Uint(record.pool_misses);
-  writer.EndObject();
   writer.Key("wall_seconds");
   writer.Double(record.wall_seconds);
   writer.Key("phases");

@@ -4,9 +4,9 @@
 // Per-explanation audit records: every Explainer::Explain call (including
 // each task of an ExplainBatch) can emit one AuditRecord capturing
 // how the explanation was produced — the loss/convergence curve, mask entropy
-// per epoch, the top-k score distribution, pool hit/miss deltas, per-phase
-// wall time, and the config that drove the run. Records are exported as JSON
-// Lines (one object per line) so long runs stream instead of buffering.
+// per epoch, the top-k score distribution, per-phase wall time, and the
+// config that drove the run. Records are exported as JSON Lines (one object
+// per line) so long runs stream instead of buffering.
 //
 // Collection is pull-free: the non-virtual Explainer::Explain wrapper opens
 // an AuditScope; explainer internals call AuditScope::Current() and get
@@ -50,10 +50,6 @@ struct AuditRecord {
   // Final score distribution: the top-k scores, sorted descending (flow
   // scores when the method produces them, base-edge scores otherwise).
   std::vector<double> top_scores;
-
-  // Pool delta over the call (the calling thread's pool).
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
 
   // Wall time. Phases are method-reported (enumerate/prefilter/optimize/...).
   double wall_seconds = 0.0;

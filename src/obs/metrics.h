@@ -57,7 +57,7 @@ class Counter {
   void Increment() { Add(1); }
 
   // Opts this counter out of flight-ring recording. For counters ticked on
-  // paths cheaper than a ring record itself (the pool's per-Acquire hit/miss),
+  // paths cheaper than a ring record itself (the serial-fallback tick),
   // where the events would both dominate the cost and flood the bounded ring.
   void DisableFlightRecording() { flight_ = false; }
 

@@ -218,7 +218,6 @@ void FlightRecorder::AppendChromeTrace(JsonWriter* writer) const {
       case FlightEventKind::kCounterDelta:
         writer->String("C");
         break;
-      case FlightEventKind::kPoolHighWater:
       case FlightEventKind::kPhase:
         writer->String("i");
         break;
@@ -233,14 +232,6 @@ void FlightRecorder::AppendChromeTrace(JsonWriter* writer) const {
       writer->Key("args");
       writer->BeginObject();
       writer->Key("delta");
-      writer->Double(event.value);
-      writer->EndObject();
-    } else if (event.kind == FlightEventKind::kPoolHighWater) {
-      writer->Key("s");
-      writer->String("t");  // thread-scoped instant
-      writer->Key("args");
-      writer->BeginObject();
-      writer->Key("bytes_peak");
       writer->Double(event.value);
       writer->EndObject();
     } else if (event.kind == FlightEventKind::kPhase) {

@@ -3,10 +3,10 @@
 
 // Flight recorder: a fixed-capacity, thread-sharded, lock-free ring buffer of
 // structured events that answers "what was the process doing just before
-// now?" without a debugger. Span begin/end, counter deltas, tensor-pool
-// high-water transitions, and explainer phase markers are appended as
-// fixed-size records; when the ring wraps, the oldest records are simply
-// overwritten, so memory stays bounded no matter how long the process runs.
+// now?" without a debugger. Span begin/end, counter deltas and explainer
+// phase markers are appended as fixed-size records; when the ring wraps, the
+// oldest records are simply overwritten, so memory stays bounded no matter
+// how long the process runs.
 //
 // Write path (Record*): one relaxed fetch_add to claim a slot plus a handful
 // of relaxed stores — wait-free, allocation-free, safe from any thread
@@ -42,8 +42,7 @@ enum class FlightEventKind : uint8_t {
   kSpanBegin = 0,
   kSpanEnd = 1,
   kCounterDelta = 2,
-  kPoolHighWater = 3,
-  kPhase = 4,
+  kPhase = 4,  // 3 was a retired event kind; values stay stable
 };
 
 // One decoded record, as returned by FlightRecorder::Collect.
@@ -52,7 +51,7 @@ struct FlightEvent {
   FlightEventKind kind = FlightEventKind::kPhase;
   const char* name = nullptr;
   double t_us = 0.0;   // microseconds since the trace epoch
-  double value = 0.0;  // counter delta / pool bytes / span duration (end)
+  double value = 0.0;  // counter delta / span duration (end)
   int tid = 0;         // metric shard index of the writing thread
 };
 
@@ -85,7 +84,7 @@ class FlightRecorder {
   void Clear();
 
   // Chrome trace-event JSON of the retained events: "B"/"E" span events,
-  // "C" counter samples, "i" instants for pool/phase markers.
+  // "C" counter samples, "i" instants for phase markers.
   void AppendChromeTrace(JsonWriter* writer) const;
   bool WriteChromeTrace(const std::string& path) const;
 

@@ -73,7 +73,7 @@ class TraceRecorder {
 // Hot per-op kernel spans (fired thousands of times per explanation) opt out:
 // their ring records cost more than the work they describe, and the crash
 // ring wants coarse phase structure, not kernel-level noise — the same
-// trade-off as Counter::DisableFlightRecording for the pool counters.
+// trade-off as Counter::DisableFlightRecording.
 enum class FlightPolicy { kRecord, kSkip };
 
 class ScopedSpan {

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/op_helpers.h"
-#include "tensor/pool.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/parallel.h"
@@ -114,8 +113,6 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape) {
   for (int s = 0; s < static_cast<int>(plan->steps_.size()); ++s) {
     plan->levels_[plan->steps_[s].level].push_back(s);
   }
-
-  plan->memory_ = BuildMemoryPlan(*tape);
   return plan;
 }
 
@@ -167,8 +164,6 @@ bool PlanSession::Replay(const PlanKey& key) {
     return false;
   }
   obs::ScopedSpan span("plan.replay", obs::FlightPolicy::kSkip);
-  tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal();
-  const uint64_t acquires_before = pool ? pool->stats().hits + pool->stats().misses : 0;
 
   // Forward: levels in order; independent steps within a level go wide on
   // the thread pool (each step writes only its own output, and nested
@@ -204,12 +199,7 @@ bool PlanSession::Replay(const PlanKey& key) {
   }
 
   static obs::Counter* replays = obs::MetricsRegistry::Global().GetCounter("plan.replays");
-  static obs::Counter* pool_acquires =
-      obs::MetricsRegistry::Global().GetCounter("plan.replay_pool_acquires");
   replays->Increment();
-  if (pool) {
-    pool_acquires->Add(pool->stats().hits + pool->stats().misses - acquires_before);
-  }
   return true;
 }
 

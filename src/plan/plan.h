@@ -7,13 +7,12 @@
 // after recording one epoch's op tape (tensor/record.h) the remaining
 // epochs replay through a compiled Plan instead of re-dispatching the eager
 // ops: consecutive same-extent elementwise ops are fused into one parallel
-// sweep, independent steps within a dependence level run on the PR 1 thread
-// pool, and no tensor is re-acquired from the pool (the tape pins every
-// buffer; the static arena layout in plan/arena.h is the specification a
-// slab backend would allocate from). The backward pass replays through the
-// node order cached at seal time — the exact order Tensor::Backward would
-// compute — so a replayed epoch is bitwise-identical to an eager one at any
-// thread count.
+// sweep, independent steps within a dependence level run on the thread
+// pool, and nothing is allocated: the tape pins every node, so each kernel
+// reruns on the buffer the previous epoch left behind. The backward pass
+// replays through the node order cached at seal time — the exact order
+// Tensor::Backward would compute — so a replayed epoch is bitwise-identical
+// to an eager one at any thread count.
 //
 // Toggle: REVELIO_EXEC_PLAN=0 (env) or SetExecPlanEnabled(false) makes the
 // training loops run fully eager — the legacy path, bitwise-identical
@@ -28,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "plan/arena.h"
 #include "tensor/record.h"
 #include "tensor/tensor.h"
 
@@ -69,7 +67,6 @@ class Plan {
   // Steps grouped by dependence level; steps within a level have no
   // dependencies on each other and may run concurrently.
   const std::vector<std::vector<int>>& levels() const { return levels_; }
-  const MemoryPlan& memory() const { return memory_; }
   int num_ops() const { return num_ops_; }
   // Ops that were folded into multi-op fused steps.
   int fused_ops() const { return fused_ops_; }
@@ -79,14 +76,13 @@ class Plan {
 
   std::vector<PlanStep> steps_;
   std::vector<std::vector<int>> levels_;
-  MemoryPlan memory_;
   int num_ops_ = 0;
   int fused_ops_ = 0;
 };
 
 // Compiles a recorded tape: fuses maximal runs of consecutive same-extent
-// elementwise ops, assigns dependence levels, and lays out the static
-// arena. The tape must outlive the plan (steps index into it).
+// elementwise ops and assigns dependence levels. The tape must outlive the
+// plan (steps index into it).
 std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
 // Owns one training loop's recorded tape, compiled plan, and cached backward
@@ -135,7 +131,7 @@ class PlanSession {
   bool Replay(const PlanKey& key);
 
   // Drops the plan, tape, and cached orders, severing the retained autograd
-  // tape so intermediates return to the pool.
+  // tape so intermediates are freed.
   void Invalidate();
 
   bool sealed() const { return plan_ != nullptr; }

@@ -8,7 +8,6 @@
 #include "eval/runner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/check.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -28,11 +27,6 @@ bool KnownMethod(const std::string& method) {
   if (method == "Random") return true;
   const std::vector<std::string> names = eval::AllExplainerNames();
   return std::find(names.begin(), names.end(), method) != names.end();
-}
-
-tensor::PoolStats ThreadPoolStats() {
-  tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal();
-  return pool != nullptr ? pool->stats() : tensor::PoolStats{};
 }
 
 }  // namespace
@@ -252,9 +246,6 @@ void ExplanationServer::RunGroup(std::vector<std::unique_ptr<PendingRequest>> gr
     if (it != unsafe_mu_.end()) serialize = it->second.get();
   }
 
-  const uint64_t runs_before =
-      runs_started_.fetch_add(group.size(), std::memory_order_relaxed);
-  const tensor::PoolStats pool_before = ThreadPoolStats();
   const int64_t run_start = clock_->NowNanos();
 
   std::vector<const explain::ExplanationTask*> tasks;
@@ -275,13 +266,6 @@ void ExplanationServer::RunGroup(std::vector<std::unique_ptr<PendingRequest>> gr
   CHECK_EQ(results.size(), group.size());
 
   const int64_t run_end = clock_->NowNanos();
-  const tensor::PoolStats pool_after = ThreadPoolStats();
-  const uint64_t delta_hits = pool_after.hits - pool_before.hits;
-  const uint64_t delta_misses = pool_after.misses - pool_before.misses;
-  if (runs_before >= options_.warmup_requests) {
-    totals_.warm_pool_hits.fetch_add(delta_hits, std::memory_order_relaxed);
-    totals_.warm_pool_misses.fetch_add(delta_misses, std::memory_order_relaxed);
-  }
 
   const double run_seconds = static_cast<double>(run_end - run_start) * 1e-9;
   for (size_t i = 0; i < group.size(); ++i) {
@@ -294,8 +278,6 @@ void ExplanationServer::RunGroup(std::vector<std::unique_ptr<PendingRequest>> gr
         static_cast<double>(dequeue_nanos - pending->enqueue_nanos) * 1e-9;
     response.run_seconds = run_seconds;
     response.batch_size = static_cast<int>(group.size());
-    response.pool_hits = delta_hits;
-    response.pool_misses = delta_misses;
     h_queue_seconds_->Observe(response.queue_seconds);
     h_run_seconds_->Observe(response.run_seconds);
     h_latency_seconds_->Observe(response.queue_seconds + response.run_seconds);
@@ -434,8 +416,6 @@ ServerStats ExplanationServer::stats() const {
   stats.completed = totals_.completed.load(std::memory_order_relaxed);
   stats.coalesced_groups = totals_.coalesced_groups.load(std::memory_order_relaxed);
   stats.coalesced_instances = totals_.coalesced_instances.load(std::memory_order_relaxed);
-  stats.warm_pool_hits = totals_.warm_pool_hits.load(std::memory_order_relaxed);
-  stats.warm_pool_misses = totals_.warm_pool_misses.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.depth();
   return stats;
 }

@@ -17,8 +17,7 @@
 //                              │
 //                              ▼
 //                  Explainer::ExplainBatch (instance-parallel; a lone
-//                  request keeps kernel-level parallelism),
-//                  per-request MemoryScope + warm TensorPool reuse
+//                  request keeps kernel-level parallelism)
 //
 // Responses travel back through per-request std::futures. Every request is
 // answered exactly once, with either a result or an explicit util::Status
@@ -75,10 +74,6 @@ struct ServeOptions {
   bool coalesce = true;
   int coalesce_limit = 8;
   int64_t default_deadline_nanos = 0;  // applied when a request carries none
-  // Requests that actually run after this many have already run count toward
-  // the warm-pool steady-state totals (stats().warm_pool_*). The bench warms
-  // each resident instance first, then asserts zero warm misses.
-  uint64_t warmup_requests = 0;
   // Explainer construction (eval::MakeExplainer) for methods not registered
   // explicitly via RegisterExplainer.
   int explainer_epochs = 100;
@@ -107,9 +102,6 @@ struct ExplainResponse {
   double queue_seconds = 0.0;      // admission -> dequeue (server clock)
   double run_seconds = 0.0;        // explainer execution (server clock)
   int batch_size = 1;              // size of the coalesced group it ran in
-  uint64_t pool_hits = 0;          // tensor-pool delta of the serving thread
-  uint64_t pool_misses = 0;        // (a group's other instances may run on
-                                   // ParallelFor workers, outside this delta)
 };
 
 // Monotone lifetime totals. Lock-free snapshot; exact once activity quiesces.
@@ -125,8 +117,6 @@ struct ServerStats {
   uint64_t completed = 0;          // futures fulfilled with Ok
   uint64_t coalesced_groups = 0;   // ExplainBatch calls with >= 2 requests
   uint64_t coalesced_instances = 0;
-  uint64_t warm_pool_hits = 0;     // pool hits after the warmup window
-  uint64_t warm_pool_misses = 0;   // pool misses after the warmup window
   size_t queue_depth = 0;
 };
 
@@ -225,12 +215,11 @@ class ExplanationServer {
   bool shutdown_done_ = false;
 
   std::atomic<uint64_t> next_request_id_{1};
-  std::atomic<uint64_t> runs_started_{0};  // warmup-window accounting
 
   struct Totals {
     std::atomic<uint64_t> submitted{0}, accepted{0}, rejected_full{0}, rejected_invalid{0},
         rejected_shutdown{0}, timed_out{0}, cancelled{0}, completed{0}, coalesced_groups{0},
-        coalesced_instances{0}, warm_pool_hits{0}, warm_pool_misses{0};
+        coalesced_instances{0};
   };
   Totals totals_;
 

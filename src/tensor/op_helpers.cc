@@ -1,40 +1,14 @@
 #include "tensor/op_helpers.h"
 
-#include "tensor/pool.h"
 #include "tensor/simd.h"
 
 namespace revelio::tensor {
 
 using internal::TensorNode;
 
-std::shared_ptr<TensorNode> NewNode(int rows, int cols) {
-  CHECK_GE(rows, 0);
-  CHECK_GE(cols, 0);
-  auto node = std::make_shared<TensorNode>();
-  node->rows = rows;
-  node->cols = cols;
-  node->values = AcquireZeroedBuffer(static_cast<size_t>(rows) * cols);
-  return node;
-}
-
 std::shared_ptr<TensorNode> NewNodeLike(const Tensor& like) {
   CHECK(like.defined());
   return NewNode(like.rows(), like.cols());
-}
-
-std::shared_ptr<TensorNode> NewNodeUninit(int rows, int cols) {
-  CHECK_GE(rows, 0);
-  CHECK_GE(cols, 0);
-  auto node = std::make_shared<TensorNode>();
-  node->rows = rows;
-  node->cols = cols;
-  node->values = AcquireBuffer(static_cast<size_t>(rows) * cols);
-  return node;
-}
-
-std::shared_ptr<TensorNode> NewNodeLikeUninit(const Tensor& like) {
-  CHECK(like.defined());
-  return NewNodeUninit(like.rows(), like.cols());
 }
 
 void AttachBackward(const std::shared_ptr<TensorNode>& out, std::initializer_list<Tensor> inputs,

@@ -26,20 +26,12 @@ inline int64_t RowGrain(int64_t per_row_cost) {
   return std::max<int64_t>(1, kMinChunkCost / std::max<int64_t>(1, per_row_cost));
 }
 
-// Allocates a zero-initialized result node (pool-backed). Kernels that
-// accumulate with += into their output need this variant.
-std::shared_ptr<internal::TensorNode> NewNode(int rows, int cols);
+// Result nodes: internal::NewNode (tensor.h) states the full-overwrite-or-
+// self-zero contract every kernel keeps.
+using internal::NewNode;
 
 // Result node with the same shape as `like`.
 std::shared_ptr<internal::TensorNode> NewNodeLike(const Tensor& like);
-
-// Result node with unspecified contents: for kernels that fully overwrite
-// their output (elementwise, gather, concat, softmax) or zero it themselves
-// inside the parallel region. Recycled pool buffers skip the zero-fill;
-// under REVELIO_POISON_POOL they arrive NaN-filled instead, so a kernel that
-// violates the full-overwrite contract fails the numeric suites.
-std::shared_ptr<internal::TensorNode> NewNodeUninit(int rows, int cols);
-std::shared_ptr<internal::TensorNode> NewNodeLikeUninit(const Tensor& like);
 
 // If any input requires grad, records `inputs` as parents of `out` and
 // installs `backward` (invoked with the raw result node; parents are

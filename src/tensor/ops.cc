@@ -51,7 +51,7 @@ void ElementwiseFor(int64_t n, const Fn& fn) {
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Add");
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
@@ -76,7 +76,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Sub");
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
@@ -101,7 +101,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Mul");
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
@@ -153,7 +153,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
   CHECK_EQ(row.rows(), 1);
   CHECK_EQ(row.cols(), matrix.cols());
-  auto out = NewNodeLikeUninit(matrix);
+  auto out = NewNodeLike(matrix);
   const float* mv = matrix.values().data();
   const float* rv = row.values().data();
   float* ov = out->values.data();
@@ -201,7 +201,7 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, s](int64_t begin, int64_t end) {
@@ -222,7 +222,7 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, s](int64_t begin, int64_t end) {
@@ -246,7 +246,7 @@ Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
   CHECK(scalar.is_scalar());
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   // The scalar is read through its node buffer inside the chunk (not hoisted
@@ -296,7 +296,7 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
 }
 
 Tensor Relu(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov](int64_t begin, int64_t end) {
@@ -333,7 +333,7 @@ Tensor Relu(const Tensor& a) {
 }
 
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, negative_slope](int64_t begin, int64_t end) {
@@ -373,7 +373,7 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov](int64_t begin, int64_t end) {
@@ -405,7 +405,7 @@ Tensor Tanh(const Tensor& a) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov](int64_t begin, int64_t end) {
@@ -437,7 +437,7 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Exp(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov](int64_t begin, int64_t end) {
@@ -467,7 +467,7 @@ Tensor Exp(const Tensor& a) {
 }
 
 Tensor Log(const Tensor& a, float eps) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov, eps](int64_t begin, int64_t end) {
@@ -495,7 +495,7 @@ Tensor Log(const Tensor& a, float eps) {
 }
 
 Tensor Softplus(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
   auto chunk = [av, ov](int64_t begin, int64_t end) {
@@ -540,11 +540,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   calls->Increment();
   flops->Add(uint64_t{2} * n * k * m);
   bytes->Add(sizeof(float) * (uint64_t{1} * n * k + uint64_t{1} * k * m + uint64_t{1} * n * m));
-  auto out = NewNodeUninit(n, m);
+  auto out = NewNode(n, m);
   // ikj loop order: unit-stride inner loop. Rows of the output are
   // independent, so the i loop is partitioned across threads. Each chunk
-  // zeroes its own rows before accumulating (first-touch, and the pooled
-  // buffer arrives dirty), matching the zero-initialized serial path.
+  // zeroes its own rows before accumulating (first-touch, and a replayed
+  // kernel finds the previous epoch's values), matching the serial path.
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
@@ -584,8 +584,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       // transposes B once and runs the forward's row-axpy body against B^T
       // (ga[i,:] += sum_j g[i,j] * B^T[j,:]): each lane folds from +0 over j
       // ascending like `acc` below, so the result is bitwise-equal. The
-      // transpose lives in per-thread scratch that only grows, never in the
-      // tensor pool, so plan replay stays allocation-free.
+      // transpose lives in per-thread scratch that only grows, so plan
+      // replay stays allocation-free.
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
@@ -648,7 +648,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Sum(const Tensor& a) {
-  auto out = NewNodeUninit(1, 1);
+  auto out = NewNode(1, 1);
   // Scalar reduction stays serial: a single double accumulator in index
   // order keeps the result independent of the thread count.
   const float* av = a.values().data();
@@ -687,7 +687,7 @@ Tensor Mean(const Tensor& a) {
 }
 
 Tensor RowSoftmax(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const int cols = a.cols();
   const float* av = a.values().data();
   float* ov = out->values.data();
@@ -733,7 +733,7 @@ Tensor RowSoftmax(const Tensor& a) {
 }
 
 Tensor RowLogSoftmax(const Tensor& a) {
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const int cols = a.cols();
   const float* av = a.values().data();
   float* ov = out->values.data();

@@ -43,7 +43,7 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
   static obs::Counter* bytes = obs::MetricsRegistry::Global().GetCounter("tensor.gather.bytes");
   calls->Increment();
   bytes->Add(uint64_t{2} * sizeof(float) * indices.size() * cols);
-  auto out = NewNodeUninit(static_cast<int>(indices.size()), cols);
+  auto out = NewNode(static_cast<int>(indices.size()), cols);
   const float* av = a.values().data();
   float* ov = out->values.data();
   const int num_src_rows = a.rows();
@@ -108,13 +108,13 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
       obs::MetricsRegistry::Global().GetCounter("tensor.scatter_add.bytes");
   calls->Increment();
   bytes->Add(uint64_t{2} * sizeof(float) * indices.size() * cols);
-  auto out = NewNodeUninit(num_rows, cols);
+  auto out = NewNode(num_rows, cols);
   const float* sv = src.values().data();
   float* ov = out->values.data();
   const int64_t n = static_cast<int64_t>(indices.size());
   // Partition over destination rows; each chunk zeroes its own row range
-  // (the pooled buffer arrives dirty), then scans all indices and adds the
-  // rows landing in its range, in the serial scan order.
+  // (a replay finds the previous epoch's sums), then scans all indices and
+  // adds the rows landing in its range, in the serial scan order.
   auto kernel = [sv, ov, cols, n, num_rows](const int* idx) {
     util::ParallelFor(0, num_rows, ScatterGrain(num_rows, n, cols),
                       [sv, ov, idx, cols, n, num_rows](int64_t rb, int64_t re) {
@@ -172,7 +172,7 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
   CHECK_EQ(scale.cols(), 1);
   const int cols = a.cols();
   // Every entry is assigned in the scaling pass below.
-  auto out = NewNodeLikeUninit(a);
+  auto out = NewNodeLike(a);
   const float* av = a.values().data();
   const float* sv = scale.values().data();
   float* ov = out->values.data();
@@ -244,7 +244,7 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   CHECK_EQ(a.rows(), b.rows());
   const int ac = a.cols();
   const int bc = b.cols();
-  auto out = NewNodeUninit(a.rows(), ac + bc);
+  auto out = NewNode(a.rows(), ac + bc);
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
@@ -301,8 +301,8 @@ Tensor SegmentSoftmax(const Tensor& values, const std::vector<int>& segment_ids,
   CHECK_EQ(values.rows(), static_cast<int>(segment_ids.size()));
   const int n = values.rows();
   // Every entry is written in the normalization pass (each belongs to
-  // exactly one segment chunk), so the output can start dirty.
-  auto out = NewNodeUninit(n, 1);
+  // exactly one segment chunk), so the kernel needs no zeroing pass.
+  auto out = NewNode(n, 1);
   const float* v = values.values().data();
   float* ov = out->values.data();
   // Per-segment max for numerical stability, then normalize. Partitioned
@@ -374,7 +374,7 @@ Tensor SegmentSoftmax(const Tensor& values, const std::vector<int>& segment_ids,
 Tensor SegmentMeanRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments) {
   CHECK_EQ(a.rows(), static_cast<int>(segment_ids.size()));
   const int cols = a.cols();
-  auto out = NewNodeUninit(num_segments, cols);
+  auto out = NewNode(num_segments, cols);
   std::vector<int> counts(num_segments, 0);
   for (int s : segment_ids) {
     DCHECK(s >= 0 && s < num_segments);
@@ -434,8 +434,8 @@ Tensor SegmentMaxRows(const Tensor& a, const std::vector<int>& segment_ids, int 
   // argmax[(s, c)] = row index feeding the max (-1 for empty segments).
   // Shared between the forward kernel and the backward closure so a replayed
   // forward refreshes the routing the backward reads; the kernel re-arms it
-  // to -1 on every invocation. Empty segments keep the zero-initialized
-  // output value (the buffer is never recycled while the tape is alive).
+  // to -1 on every invocation, and each chunk zeroes its segments first so
+  // empty segments read 0 on replay too.
   auto argmax = std::make_shared<std::vector<int>>(static_cast<size_t>(num_segments) * cols, -1);
   const float* av = a.values().data();
   float* ov = out->values.data();
@@ -448,6 +448,7 @@ Tensor SegmentMaxRows(const Tensor& a, const std::vector<int>& segment_ids, int 
     util::ParallelFor(0, num_segments, ScatterGrain(num_segments, rows, cols),
                       [av, ov, seg, arg, cols, rows, num_segments](int64_t sb, int64_t se) {
                         (void)num_segments;
+                        std::fill(ov + sb * cols, ov + se * cols, 0.0f);
                         for (int64_t r = 0; r < rows; ++r) {
                           const int s = seg[r];
                           DCHECK(s >= 0 && s < num_segments);

@@ -56,7 +56,7 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* o
                       const bool use_simd = simd::Enabled();
                       for (int64_t j = rb; j < re; ++j) {
                         float* out_row = ov + static_cast<size_t>(j) * cols;
-                        // The pooled output buffer arrives dirty; zeroing the
+                        // A replay finds the previous epoch's sums; zeroing the
                         // row here (inside its owning chunk) preserves the
                         // accumulator semantics and first-touch locality.
                         std::fill(out_row, out_row + cols, 0.0f);
@@ -139,7 +139,7 @@ Tensor SpmmCsr(const CsrPatternRef& pattern, const Tensor& x) {
   const int cols = x.cols();
   obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
   RecordSpmmMetrics(*pattern, cols);
-  auto out = NewNodeUninit(pattern->num_rows, cols);
+  auto out = NewNode(pattern->num_rows, cols);
   const float* xv = x.values().data();
   float* ov = out->values.data();
   SpmmForward(*pattern, nullptr, xv, ov, cols);
@@ -167,7 +167,7 @@ Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, cons
   const int cols = x.cols();
   obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
   RecordSpmmMetrics(*pattern, cols);
-  auto out = NewNodeUninit(pattern->num_rows, cols);
+  auto out = NewNode(pattern->num_rows, cols);
   const float* wv = weights.values().data();
   const float* xv = x.values().data();
   float* ov = out->values.data();
@@ -215,7 +215,7 @@ Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x) {
       (*degree_weights)[static_cast<size_t>(pattern->edge_idx[static_cast<size_t>(k)])] = inv;
     }
   }
-  auto out = NewNodeUninit(pattern->num_rows, cols);
+  auto out = NewNode(pattern->num_rows, cols);
   const float* xv = x.values().data();
   float* ov = out->values.data();
   SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);

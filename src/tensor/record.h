@@ -38,7 +38,7 @@ struct RecordedOp {
   std::shared_ptr<internal::TensorNode> out;
   std::vector<std::shared_ptr<internal::TensorNode>> inputs;
   // Recomputes out->values from the inputs' current values. Never touches
-  // grads, obs counters, or the pool; always safe to re-run.
+  // grads or obs counters; always safe to re-run.
   std::function<void()> replay;
   // Set only for fusable elementwise ops: the kernel behind `replay`,
   // invocable per chunk. `numel` is its flat extent.

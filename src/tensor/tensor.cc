@@ -1,10 +1,12 @@
 #include "tensor/tensor.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <sstream>
 #include <unordered_set>
-
-#include "tensor/pool.h"
 
 namespace revelio::tensor {
 
@@ -12,13 +14,38 @@ using internal::TensorNode;
 
 namespace internal {
 
-TensorNode::~TensorNode() {
-  ReleaseBuffer(&grad);
-  ReleaseBuffer(&values);
+namespace {
+
+// glibc serves requests above a dynamic threshold (128 KiB at start) with
+// mmap, and returns free heap top above 128 KiB to the OS. GNN pretraining
+// allocates and frees the same activations every epoch, so both defaults
+// turn each epoch into mmap/munmap and trim/page-fault churn. Fixed
+// thresholds keep those buffers on the heap for reuse.
+bool SetAllocatorThresholds() {
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
+  return true;
+}
+
+// Runs during static initialization, before the first tensor allocation.
+[[maybe_unused]] const bool kAllocatorThresholdsSet = SetAllocatorThresholds();
+
+}  // namespace
+
+std::shared_ptr<TensorNode> NewNode(int rows, int cols) {
+  CHECK_GE(rows, 0);
+  CHECK_GE(cols, 0);
+  auto node = std::make_shared<TensorNode>();
+  node->rows = rows;
+  node->cols = cols;
+  node->values.resize(static_cast<size_t>(rows) * cols);
+  return node;
 }
 
 void TensorNode::EnsureGrad() {
-  if (grad.empty()) grad = AcquireZeroedBuffer(values.size());
+  if (grad.empty()) grad.resize(values.size());
 }
 
 void CollectBackwardOrder(TensorNode* root, std::vector<TensorNode*>* order) {
@@ -49,46 +76,18 @@ void CollectBackwardOrder(TensorNode* root, std::vector<TensorNode*>* order) {
 
 }  // namespace internal
 
-namespace {
-
-std::shared_ptr<TensorNode> NewLeaf(int rows, int cols) {
-  CHECK_GE(rows, 0);
-  CHECK_GE(cols, 0);
-  auto node = std::make_shared<TensorNode>();
-  node->rows = rows;
-  node->cols = cols;
-  node->values = AcquireZeroedBuffer(static_cast<size_t>(rows) * cols);
-  return node;
-}
-
-// For factories that overwrite every entry (Full/Randn/Uniform/Empty): a
-// recycled buffer is handed out dirty, skipping the zero-fill.
-std::shared_ptr<TensorNode> NewLeafUninit(int rows, int cols) {
-  CHECK_GE(rows, 0);
-  CHECK_GE(cols, 0);
-  auto node = std::make_shared<TensorNode>();
-  node->rows = rows;
-  node->cols = cols;
-  node->values = AcquireBuffer(static_cast<size_t>(rows) * cols);
-  return node;
-}
-
-}  // namespace
-
 Tensor Tensor::FromNode(std::shared_ptr<TensorNode> node) {
   Tensor t;
   t.node_ = std::move(node);
   return t;
 }
 
-Tensor Tensor::Zeros(int rows, int cols) { return FromNode(NewLeaf(rows, cols)); }
-
-Tensor Tensor::Empty(int rows, int cols) { return FromNode(NewLeafUninit(rows, cols)); }
+Tensor Tensor::Zeros(int rows, int cols) { return FromNode(internal::NewNode(rows, cols)); }
 
 Tensor Tensor::Ones(int rows, int cols) { return Full(rows, cols, 1.0f); }
 
 Tensor Tensor::Full(int rows, int cols, float value) {
-  auto node = NewLeafUninit(rows, cols);
+  auto node = internal::NewNode(rows, cols);
   for (auto& v : node->values) v = value;
   return FromNode(std::move(node));
 }
@@ -107,13 +106,13 @@ Tensor Tensor::FromVector(const std::vector<float>& values) {
 }
 
 Tensor Tensor::Randn(int rows, int cols, util::Rng* rng) {
-  auto node = NewLeafUninit(rows, cols);
+  auto node = internal::NewNode(rows, cols);
   for (auto& v : node->values) v = static_cast<float>(rng->Normal());
   return FromNode(std::move(node));
 }
 
 Tensor Tensor::Uniform(int rows, int cols, float lo, float hi, util::Rng* rng) {
-  auto node = NewLeafUninit(rows, cols);
+  auto node = internal::NewNode(rows, cols);
   for (auto& v : node->values) v = static_cast<float>(rng->Uniform(lo, hi));
   return FromNode(std::move(node));
 }
@@ -129,7 +128,7 @@ void Tensor::DisableGrad() {
   CHECK(node_ != nullptr);
   CHECK(!node_->backward_fn) << "DisableGrad is only valid on leaf tensors";
   node_->requires_grad = false;
-  ReleaseBuffer(&node_->grad);
+  std::vector<float>().swap(node_->grad);
 }
 
 float Tensor::At(int r, int c) const {
@@ -224,7 +223,7 @@ void Tensor::ReleaseTape() const {
     if (!node->backward_fn) return;  // leaf parameter: keep values and grad
     node->backward_fn = nullptr;
     node->parents.clear();
-    ReleaseBuffer(&node->grad);
+    std::vector<float>().swap(node->grad);
   };
   sever(node_.get());
   for (const auto& node : reachable) sever(node.get());
@@ -238,7 +237,7 @@ void Tensor::ZeroGrad() {
 
 Tensor Tensor::Detach() const {
   CHECK(node_ != nullptr);
-  auto node = NewLeafUninit(rows(), cols());
+  auto node = internal::NewNode(rows(), cols());
   std::copy(node_->values.begin(), node_->values.end(), node->values.begin());
   return FromNode(std::move(node));
 }

@@ -32,13 +32,9 @@ namespace internal {
 
 // One node of the autograd graph. Owned via shared_ptr by Tensor handles and
 // by child nodes (through `parents`), so a forward graph stays alive until
-// the last handle to its output is dropped. Storage comes from the
-// thread-local TensorPool (tensor/pool.h); the destructor returns both
-// buffers to the current thread's pool.
+// the last handle to its output is dropped. Storage is a plain
+// zero-initialized std::vector (DESIGN.md §9).
 struct TensorNode {
-  TensorNode() = default;
-  ~TensorNode();
-
   int rows = 0;
   int cols = 0;
   std::vector<float> values;
@@ -53,9 +49,17 @@ struct TensorNode {
   std::function<void()> backward_fn;
 
   int64_t numel() const { return static_cast<int64_t>(rows) * cols; }
-  // Pool-backed zero-initialized grad buffer (no-op if already present).
+  // Zero-initialized grad buffer (no-op if already present).
   void EnsureGrad();
 };
+
+// A node of the given shape with zero-initialized values: the one allocator
+// behind every factory and op result.
+//
+// Kernels must fully overwrite their output or zero it themselves; they may
+// not rely on the fresh zeros. Plan replay (src/plan) reruns each recorded
+// kernel on the buffer the previous epoch left behind.
+std::shared_ptr<TensorNode> NewNode(int rows, int cols);
 
 // Appends to `order` the post-order DFS over requires_grad parents rooted at
 // `root` (parents before children when read backwards — the order Backward()
@@ -76,10 +80,6 @@ class Tensor {
   // --- Factories -----------------------------------------------------------
 
   static Tensor Zeros(int rows, int cols);
-  // Unspecified contents (pool-recycled storage is not cleared): every entry
-  // must be written before it is read. Under REVELIO_POISON_POOL recycled
-  // storage is NaN-filled, so a violation poisons downstream results.
-  static Tensor Empty(int rows, int cols);
   static Tensor Ones(int rows, int cols);
   static Tensor Full(int rows, int cols, float value);
   static Tensor FromData(int rows, int cols, std::vector<float> values);
@@ -136,9 +136,9 @@ class Tensor {
   void ZeroGrad();
 
   // Severs the autograd tape behind this tensor: clears backward_fn and the
-  // parent links (and releases the grad buffer) of every reachable non-leaf
-  // node, so intermediates kept alive only by the tape return their storage
-  // to the pool immediately. This tensor's values survive; leaf parameters
+  // parent links (and frees the grad buffer) of every reachable non-leaf
+  // node, so intermediates kept alive only by the tape free their storage
+  // immediately. This tensor's values survive; leaf parameters
   // (and their grads) are untouched. Call at the end of each training epoch,
   // after the optimizer step.
   void ReleaseTape() const;

@@ -154,8 +154,7 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
       obs::Counter* counter =
           obs::MetricsRegistry::Global().GetCounter("parallel.serial_fallback");
       // Inside instance-parallel explanation every kernel call lands here, a
-      // tick cheaper than a flight-ring record: keep it out of the ring, as
-      // the pool's hit/miss counters are.
+      // tick cheaper than a flight-ring record: keep it out of the ring.
       counter->DisableFlightRecording();
       return counter;
     }();

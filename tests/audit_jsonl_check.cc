@@ -108,12 +108,6 @@ int main(int argc, char** argv) {
         FiniteNumber(*task, "num_edges", line_no) == nullptr) {
       return 1;
     }
-    const JsonValue* pool = record.Find("pool");
-    if (pool == nullptr || !pool->is_object() ||
-        FiniteNumber(*pool, "hits", line_no) == nullptr ||
-        FiniteNumber(*pool, "misses", line_no) == nullptr) {
-      return Fail(line_no, "missing pool {hits, misses}"), 1;
-    }
 
     // Convergence curves: one loss and one entropy sample per epoch, finite.
     size_t loss_len = 0;

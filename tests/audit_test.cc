@@ -167,7 +167,6 @@ TEST_F(AuditTest, SequentialExplainEmitsOneCompleteRecord) {
   EXPECT_TRUE(HasPhase(record, "enumerate_flows"));
   EXPECT_TRUE(HasConfigKey(record, "epochs"));
   EXPECT_TRUE(HasConfigKey(record, "learning_rate"));
-  EXPECT_TRUE(HasConfigKey(record, "tensor_pool"));
 }
 
 // ExplainBatch runs one Explain per task, so each task owns a one-record
@@ -233,8 +232,6 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
   record.loss_curve = {0.9, 0.5, 0.25};
   record.mask_entropy = {0.69, 0.5, 0.31};
   record.top_scores = {2.5, 1.0, -0.5};
-  record.pool_hits = 100;
-  record.pool_misses = 2;
   record.wall_seconds = 0.125;
   record.phase_seconds = {{"optimize", 0.1}, {"extract", 0.025}};
   record.config = {{"epochs", "3"}, {"note", "quote \" and \n newline"}};
@@ -255,10 +252,6 @@ TEST_F(AuditTest, RecordJsonRoundTrips) {
   EXPECT_EQ(root.Find("loss_curve")->array_items[2].number_value, 0.25);
   ASSERT_EQ(root.Find("mask_entropy")->array_items.size(), 3u);
   ASSERT_EQ(root.Find("top_scores")->array_items.size(), 3u);
-  const obs::JsonValue* pool = root.Find("pool");
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->Find("hits")->number_value, 100.0);
-  EXPECT_EQ(pool->Find("misses")->number_value, 2.0);
   const obs::JsonValue* phases = root.Find("phases");
   ASSERT_NE(phases, nullptr);
   EXPECT_EQ(phases->Find("optimize")->number_value, 0.1);

@@ -2,6 +2,7 @@
 // counterfactual score conventions, and architecture support flags.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "gnn/trainer.h"
 #include "graph/subgraph.h"
 #include "nn/loss.h"
+#include "plan/plan.h"
 
 namespace revelio::explain {
 namespace {
@@ -190,6 +192,35 @@ TEST_F(ExplainerFixture, GnnExplainerMasksStayInUnitInterval) {
       EXPECT_LE(s, 1.0);
     }
   }
+}
+
+TEST_F(ExplainerFixture, GnnExplainerDivergentLearningRateReturnsStatusNotNanScores) {
+  // A NaN or overflowing learning rate drives the masks non-finite. The
+  // explainer must report that as an error, on both the eager and the
+  // recorded-plan epoch paths, instead of returning NaN scores with Ok.
+  const ExplanationTask task = MakeTask(0);
+  const bool plan_default = plan::ExecPlanEnabled();
+  for (const float learning_rate : {std::numeric_limits<float>::quiet_NaN(), 1e38f}) {
+    for (const bool use_plan : {true, false}) {
+      plan::SetExecPlanEnabled(use_plan);
+      GnnExplainerOptions options;
+      options.epochs = 20;
+      options.learning_rate = learning_rate;
+      GnnExplainerMethod explainer(options);
+      const Explanation result = explainer.Explain(task, Objective::kFactual);
+      EXPECT_EQ(result.status.code(), util::StatusCode::kInternal)
+          << "lr=" << learning_rate << " plan=" << use_plan << ": " << result.status.ToString();
+      EXPECT_TRUE(result.edge_scores.empty());
+    }
+  }
+  plan::SetExecPlanEnabled(plan_default);
+  // One epoch: the loss is still finite, only the final Step goes NaN.
+  GnnExplainerOptions one_epoch;
+  one_epoch.epochs = 1;
+  one_epoch.learning_rate = std::numeric_limits<float>::quiet_NaN();
+  const Explanation result = GnnExplainerMethod(one_epoch).Explain(task, Objective::kFactual);
+  EXPECT_EQ(result.status.code(), util::StatusCode::kInternal) << result.status.ToString();
+  EXPECT_TRUE(result.edge_scores.empty());
 }
 
 TEST_F(ExplainerFixture, PgExplainerRequiresTrainingThenExplains) {

@@ -76,7 +76,7 @@ class ExportPromTest : public ::testing::Test {
 };
 
 TEST_F(ExportPromTest, MetricNameSanitization) {
-  EXPECT_EQ(obs::PrometheusMetricName("tensor.pool.hit"), "revelio_tensor_pool_hit");
+  EXPECT_EQ(obs::PrometheusMetricName("plan.replays"), "revelio_plan_replays");
   EXPECT_EQ(obs::PrometheusMetricName("gnn.train.epoch-seconds"),
             "revelio_gnn_train_epoch_seconds");
   EXPECT_EQ(obs::PrometheusMetricName("weird name!@#$%^&*()"), "revelio_weirdname");

@@ -16,7 +16,6 @@
 #include "obs/trace.h"
 #include "serve/queue.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -76,35 +75,12 @@ int main() {
     }
   }
 
-  // Concurrent independent ParallelFor callers sharing the pool.
+  // Concurrent independent ParallelFor callers sharing the thread pool.
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {
     callers.emplace_back([] { (void)TensorWorkload(); });
   }
   for (auto& caller : callers) caller.join();
-
-  // Per-thread tensor pools under concurrency: each raw thread hammers its
-  // own thread-local free lists (acquire/release via full workloads, then an
-  // explicit Trim). The pools are unsynchronized by design — TSan verifies no
-  // thread ever touches another thread's lists.
-  {
-    std::vector<std::thread> pool_users;
-    for (int t = 0; t < 4; ++t) {
-      pool_users.emplace_back([] {
-        for (int repeat = 0; repeat < 3; ++repeat) (void)TensorWorkload();
-        if (auto* pool = revelio::tensor::TensorPool::ThreadLocal()) pool->Trim();
-      });
-    }
-    for (auto& user : pool_users) user.join();
-
-    // Cross-thread release: a tensor created on this thread is destroyed on a
-    // worker, so its storage is offered to the WORKER's pool. The accounting
-    // clamp plus per-thread ownership keeps this benign; TSan confirms.
-    revelio::util::Rng cross_rng(5);
-    Tensor crossing = Tensor::Randn(64, 64, &cross_rng);
-    std::thread destroyer([moved = std::move(crossing)]() mutable { (void)moved; });
-    destroyer.join();
-  }
 
   // Telemetry under contention: counters/histograms/gauges/spans updated from
   // raw threads and from inside ParallelFor while a reader concurrently

@@ -1,19 +1,18 @@
 // Unit tests for the recorded-execution-plan subsystem (src/plan): tape
-// recording, plan compilation (fusion, levels, arena), PlanSession replay
-// semantics (key mismatch, global version bump, zero pool traffic), and the
+// recording, plan compilation (fusion, levels), PlanSession replay
+// semantics (key mismatch, global version bump, stable buffers), and the
 // plan.* observability counters. The whole-loop differential proof lives in
 // tests/prop/plan_equivalence_test.cc; these tests pin the mechanism.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "plan/arena.h"
 #include "plan/plan.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "tensor/record.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
@@ -33,12 +32,10 @@ class PlanTest : public ::testing::Test {
   void SetUp() override {
     obs::SetEnabled(true);
     util::SetNumThreads(1);
-    tensor::SetPoolEnabled(true);
   }
   void TearDown() override {
     obs::SetEnabled(false);
     util::SetNumThreads(1);
-    tensor::SetPoolEnabled(true);
     plan::SetExecPlanEnabled(true);
   }
 };
@@ -76,8 +73,6 @@ TEST_F(PlanTest, RecordScopeCapturesOpsAndSealCompiles) {
   EXPECT_TRUE(plan->steps()[0].fused);
   EXPECT_EQ(plan->steps()[0].op_indices.size(), 3u);
   EXPECT_EQ(plan->fused_ops(), 3);
-  EXPECT_TRUE(plan::ValidateMemoryPlan(plan->memory()));
-  EXPECT_EQ(plan->memory().slots.size(), 4u);
 }
 
 TEST_F(PlanTest, ReplayRecomputesValuesAndGradsInPlace) {
@@ -109,7 +104,9 @@ TEST_F(PlanTest, ReplayRecomputesValuesAndGradsInPlace) {
   ref_loss.ReleaseTape();
 }
 
-TEST_F(PlanTest, ReplayPerformsZeroPoolAcquisitions) {
+// Replay writes in place: every tape op's output keeps the values and grad
+// buffers it had at seal, replay after replay.
+TEST_F(PlanTest, ReplayKeepsEveryOpOutputBuffer) {
   util::Rng rng(4);
   Tensor x = Tensor::Uniform(8, 4, -1.0f, 1.0f, &rng).WithRequiresGrad();
   plan::PlanSession session;
@@ -121,15 +118,19 @@ TEST_F(PlanTest, ReplayPerformsZeroPoolAcquisitions) {
   loss.Backward();
   session.Seal(loss, plan::PlanKey{{1}});
 
-  tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal();
-  ASSERT_NE(pool, nullptr);
-  const uint64_t acquires_before = pool->stats().hits + pool->stats().misses;
+  auto buffers = [&session] {
+    std::vector<std::pair<const float*, const float*>> addresses;
+    for (const auto& op : session.tape().ops) {
+      addresses.emplace_back(op.out->values.data(), op.out->grad.data());
+    }
+    return addresses;
+  };
+  const auto sealed = buffers();
   for (int i = 0; i < 5; ++i) {
     x.ZeroGrad();
     ASSERT_TRUE(session.Replay(plan::PlanKey{{1}}));
+    EXPECT_EQ(buffers(), sealed) << "replay " << i << " moved an op output's values or grad";
   }
-  EXPECT_EQ(pool->stats().hits + pool->stats().misses, acquires_before)
-      << "replay must not touch the tensor pool";
 }
 
 TEST_F(PlanTest, KeyMismatchInvalidatesAndForcesReRecord) {
@@ -199,30 +200,6 @@ TEST_F(PlanTest, EnvTogglesRoundTrip) {
   EXPECT_FALSE(plan::ExecPlanEnabled());
   plan::SetExecPlanEnabled(true);
   EXPECT_TRUE(plan::ExecPlanEnabled());
-}
-
-TEST_F(PlanTest, MemoryPlanReusesArenaBytesAcrossDisjointLifetimes) {
-  // a -> b -> c -> d sequential chain: b's slot dies when c is produced, so
-  // first-fit can reuse its bytes; the arena extent must be below the naive
-  // sum of all outputs.
-  util::Rng rng(8);
-  Tensor x = Tensor::Uniform(16, 16, -1.0f, 1.0f, &rng).WithRequiresGrad();
-  plan::PlanSession session;
-  Tensor loss;
-  {
-    plan::PlanSession::RecordScope record(&session);
-    Tensor h = tensor::Tanh(x);
-    for (int i = 0; i < 4; ++i) h = tensor::Tanh(h);
-    loss = tensor::Sum(h);
-  }
-  loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1}});
-  const plan::MemoryPlan& memory = session.plan()->memory();
-  EXPECT_TRUE(plan::ValidateMemoryPlan(memory));
-  size_t naive = 0;
-  for (const plan::ArenaSlot& slot : memory.slots) naive += slot.bytes;
-  EXPECT_LT(memory.total_bytes, naive);
-  EXPECT_GE(memory.total_bytes, memory.peak_live_bytes);
 }
 
 }  // namespace

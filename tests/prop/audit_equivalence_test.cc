@@ -3,7 +3,7 @@
 // read-only with respect to the numerics. For sequential Explain, batched
 // ExplainBatch, and the flight recorder on top, every flow score, edge
 // score, and top-k ranking must be BITWISE-equal with auditing on vs off —
-// the same contract the pool/SpMM suites pin for their layers.
+// the same contract the plan/SpMM suites pin for their layers.
 
 #include <cstdint>
 #include <string>

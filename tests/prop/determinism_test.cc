@@ -25,7 +25,6 @@
 #include "gnn/trainer.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
-#include "tensor/pool.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -117,10 +116,7 @@ RevelioRun ExplainOnce() {
 
 class DeterminismTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    util::SetNumThreads(1);
-    tensor::SetPoolEnabled(true);
-  }
+  void TearDown() override { util::SetNumThreads(1); }
 };
 
 TEST_F(DeterminismTest, LossCurveBitwiseIdenticalAcrossRunsAndThreads) {
@@ -150,41 +146,6 @@ TEST_F(DeterminismTest, RevelioFlowRankingBitwiseIdenticalAcrossRunsAndThreads) 
       << "--threads 1 vs --threads 4: flow scores differ";
   EXPECT_EQ(first.ranking, threaded.ranking);
   EXPECT_EQ(first.edge_scores, threaded.edge_scores);
-}
-
-// The pooled allocator is a pure memory-reuse optimization: turning it off
-// (REVELIO_TENSOR_POOL=0), running it cold, or running it warm (free lists
-// primed with dirty buffers from a prior run) must leave the training loss
-// curve and the Revelio flow explanation bitwise-unchanged, at 1 and 4
-// threads.
-TEST_F(DeterminismTest, PoolOnOffAndWarmColdLeaveResultsBitwiseIdentical) {
-  for (const int threads : {1, 4}) {
-    util::SetNumThreads(threads);
-    tensor::SetPoolEnabled(false);
-    const std::vector<float> unpooled_curve = TrainOnce();
-    const RevelioRun unpooled_run = ExplainOnce();
-    ASSERT_FALSE(unpooled_run.flow_scores.empty());
-
-    tensor::SetPoolEnabled(true);
-    const std::vector<float> cold_curve = TrainOnce();
-    const RevelioRun cold_run = ExplainOnce();
-    // Second pooled pass: everything now comes from recycled buffers.
-    const std::vector<float> warm_curve = TrainOnce();
-    const RevelioRun warm_run = ExplainOnce();
-
-    EXPECT_EQ(unpooled_curve, cold_curve)
-        << "pool on vs off: loss curves differ at threads=" << threads;
-    EXPECT_EQ(cold_curve, warm_curve)
-        << "cold vs warm pool: loss curves differ at threads=" << threads;
-    EXPECT_EQ(unpooled_run.flow_scores, cold_run.flow_scores)
-        << "pool on vs off: flow scores differ at threads=" << threads;
-    EXPECT_EQ(cold_run.flow_scores, warm_run.flow_scores)
-        << "cold vs warm pool: flow scores differ at threads=" << threads;
-    EXPECT_EQ(unpooled_run.ranking, cold_run.ranking);
-    EXPECT_EQ(unpooled_run.edge_scores, cold_run.edge_scores);
-    EXPECT_EQ(warm_run.ranking, unpooled_run.ranking);
-    EXPECT_EQ(warm_run.edge_scores, unpooled_run.edge_scores);
-  }
 }
 
 // --- Batch entry points: ExplainAll / ExplainBatch == per-task Explain ----------

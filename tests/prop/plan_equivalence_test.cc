@@ -1,15 +1,17 @@
 // Recorded execution plans (src/plan/): replaying a recorded epoch must be
-// BITWISE-equal to re-running it eagerly — across thread counts, pool on/off,
-// one-at-a-time Explain vs instance-parallel ExplainBatch, and fusion
-// on/off. The
-// differential harness trains full mini-GNN explanations both ways and
-// compares every score; the validity suite checks the structural properties
-// every compiled plan must satisfy (topological step order, non-overlapping
-// live arena ranges, key/shape changes forcing a re-record) over randomly
-// generated tensor programs via util::proptest.
+// BITWISE-equal to re-running it eagerly — across thread counts, one-at-a-
+// time Explain vs instance-parallel ExplainBatch, and fusion on/off, and
+// with every recorded output NaN-filled before the replay. The differential
+// harness trains full mini-GNN explanations both ways and compares every
+// score; the validity suite checks the structural properties every compiled
+// plan must satisfy (topological step order and levels, stable buffers,
+// key/shape changes forcing a re-record) over randomly generated tensor
+// programs via util::proptest.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +28,6 @@
 #include "plan/plan.h"
 #include "prop/prop_util.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "util/parallel.h"
 #include "util/proptest.h"
 #include "util/rng.h"
@@ -119,6 +120,16 @@ uint64_t ReplayCount() {
   return obs::MetricsRegistry::Global().GetCounter("plan.replays")->Total();
 }
 
+// Where each tape op's output keeps its values and grad, in tape order.
+using BufferAddresses = std::pair<const float*, const float*>;
+std::vector<BufferAddresses> TapeBufferAddresses(const tensor::rec::OpTape& tape) {
+  std::vector<BufferAddresses> addresses;
+  for (const auto& op : tape.ops) {
+    addresses.emplace_back(op.out->values.data(), op.out->grad.data());
+  }
+  return addresses;
+}
+
 class PlanEquivalenceTest : public ::testing::Test {
  protected:
   // Metrics are off by default; the vacuity guards below read plan.* counters.
@@ -127,7 +138,6 @@ class PlanEquivalenceTest : public ::testing::Test {
   void TearDown() override {
     obs::SetEnabled(false);
     util::SetNumThreads(1);
-    tensor::SetPoolEnabled(true);
     plan::SetExecPlanEnabled(true);
   }
 };
@@ -137,12 +147,11 @@ class PlanEquivalenceTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 // The headline contract: for seeded random mini-GNN tasks, the plan-replay
-// loop equals the eager loop bitwise across threads {1, 2, 7, 16}, pool
-// on/off, and one-at-a-time Explain vs ExplainBatch (plans recorded and
-// replayed on the ParallelFor workers).
-TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
+// loop equals the eager loop bitwise across threads {1, 2, 7, 16} and
+// one-at-a-time Explain vs ExplainBatch (plans recorded and replayed on the
+// ParallelFor workers).
+TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsAndBatch) {
   util::SetNumThreads(1);
-  tensor::SetPoolEnabled(true);
   gnn::GnnModel model(ModelConfig());
   model.Freeze();
   std::vector<TaskData> data;
@@ -152,7 +161,7 @@ TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
   std::vector<const explain::ExplanationTask*> group;
   for (const auto& task : tasks) group.push_back(&task);
 
-  // Eager reference: plans disabled, 1 thread, pool on.
+  // Eager reference: plans disabled, 1 thread.
   plan::SetExecPlanEnabled(false);
   core::RevelioExplainer explainer(RevelioTestOptions());
   std::vector<core::RevelioExplainer::FlowExplanation> reference;
@@ -164,36 +173,31 @@ TEST_F(PlanEquivalenceTest, RevelioReplayEqualsEagerAcrossThreadsPoolAndBatch) {
   plan::SetExecPlanEnabled(true);
   const uint64_t replays_before = ReplayCount();
   for (const int threads : {1, 2, 7, 16}) {
-    for (const bool pool_on : {true, false}) {
-      util::SetNumThreads(threads);
-      tensor::SetPoolEnabled(pool_on);
-      const std::string context =
-          "threads=" + std::to_string(threads) + " pool=" + (pool_on ? "on" : "off");
-      // One task at a time, plan-replayed.
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        ExpectFlowExplanationsBitwiseEqual(
-            reference[i], explainer.ExplainFlows(tasks[i], explain::Objective::kFactual),
-            context + " single instance=" + std::to_string(i));
-      }
-      // Instance-parallel batch, plan-replayed on the worker threads.
-      const std::vector<explain::Explanation> batched =
-          explainer.ExplainBatch(group, explain::Objective::kFactual);
-      ASSERT_EQ(batched.size(), group.size());
-      for (size_t i = 0; i < batched.size(); ++i) {
-        EXPECT_EQ(reference[i].flow_scores, batched[i].flow_scores)
-            << context << " batch instance=" << i;
-        EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
-            << context << " batch instance=" << i;
-      }
+    util::SetNumThreads(threads);
+    const std::string context = "threads=" + std::to_string(threads);
+    // One task at a time, plan-replayed.
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      ExpectFlowExplanationsBitwiseEqual(
+          reference[i], explainer.ExplainFlows(tasks[i], explain::Objective::kFactual),
+          context + " single instance=" + std::to_string(i));
+    }
+    // Instance-parallel batch, plan-replayed on the worker threads.
+    const std::vector<explain::Explanation> batched =
+        explainer.ExplainBatch(group, explain::Objective::kFactual);
+    ASSERT_EQ(batched.size(), group.size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_EQ(reference[i].flow_scores, batched[i].flow_scores)
+          << context << " batch instance=" << i;
+      EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
+          << context << " batch instance=" << i;
     }
   }
   // Guard against vacuity: the grid above must actually have replayed plans.
   EXPECT_GT(ReplayCount(), replays_before) << "plan path never replayed";
 }
 
-TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBatch) {
+TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsAndBatch) {
   util::SetNumThreads(1);
-  tensor::SetPoolEnabled(true);
   gnn::GnnModel model(ModelConfig());
   model.Freeze();
   std::vector<TaskData> data;
@@ -213,23 +217,18 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
   plan::SetExecPlanEnabled(true);
   const uint64_t replays_before = ReplayCount();
   for (const int threads : {1, 2, 7, 16}) {
-    for (const bool pool_on : {true, false}) {
-      util::SetNumThreads(threads);
-      tensor::SetPoolEnabled(pool_on);
-      for (size_t i = 0; i < tasks.size(); ++i) {
-        EXPECT_EQ(reference[i].edge_scores,
-                  explainer.Explain(tasks[i], explain::Objective::kFactual).edge_scores)
-            << "threads=" << threads << " pool=" << (pool_on ? "on" : "off")
-            << " single instance=" << i;
-      }
-      const std::vector<explain::Explanation> batched =
-          explainer.ExplainBatch(group, explain::Objective::kFactual);
-      ASSERT_EQ(batched.size(), group.size());
-      for (size_t i = 0; i < batched.size(); ++i) {
-        EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
-            << "threads=" << threads << " pool=" << (pool_on ? "on" : "off")
-            << " batch instance=" << i;
-      }
+    util::SetNumThreads(threads);
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(reference[i].edge_scores,
+                explainer.Explain(tasks[i], explain::Objective::kFactual).edge_scores)
+          << "threads=" << threads << " single instance=" << i;
+    }
+    const std::vector<explain::Explanation> batched =
+        explainer.ExplainBatch(group, explain::Objective::kFactual);
+    ASSERT_EQ(batched.size(), group.size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_EQ(reference[i].edge_scores, batched[i].edge_scores)
+          << "threads=" << threads << " batch instance=" << i;
     }
   }
   EXPECT_GT(ReplayCount(), replays_before) << "plan path never replayed";
@@ -239,7 +238,6 @@ TEST_F(PlanEquivalenceTest, GnnExplainerReplayEqualsEagerAcrossThreadsPoolAndBat
 // (counterfactual objective for variety).
 TEST_F(PlanEquivalenceTest, FusedReplayEqualsEagerCounterfactual) {
   util::SetNumThreads(1);
-  tensor::SetPoolEnabled(true);
   gnn::GnnModel model(ModelConfig());
   model.Freeze();
   const TaskData data = MakeNodeTaskData(kSeed + 70);
@@ -364,9 +362,8 @@ Tensor RecordProgram(const ProgramSpec& spec, const Tensor& param,
 }
 
 // Structural validity: every compiled plan's steps partition the tape in
-// order, levels are topologically consistent, and the static arena never
-// byte-overlaps two live-overlapping tensors.
-TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidArena) {
+// order and levels are topologically consistent.
+TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidLevels) {
   util::SetNumThreads(1);
   const util::CheckResult result = util::ForAll<ProgramSpec>(
       "plan_validity", ProgramDomain(),
@@ -416,10 +413,6 @@ TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidArena) {
             }
           }
         }
-
-        // Arena: liveness-sound, in-bounds, no live byte overlap.
-        if (!plan::ValidateMemoryPlan(plan->memory())) return "arena validation failed";
-        if (plan->memory().slots.size() != ops.size()) return "arena slot count mismatch";
         return "";
       },
       util::DefaultPropConfig(30, kSeed + 200));
@@ -428,8 +421,7 @@ TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidArena) {
 
 // Replay correctness at the session level: after mutating the leaf the way an
 // optimizer would, Replay() recomputes values and gradients bitwise-equal to
-// a from-scratch eager build, at several thread counts, with zero pool
-// acquisitions during the replay.
+// a from-scratch eager build, at several thread counts.
 TEST_F(PlanEquivalenceTest, SessionReplayMatchesEagerRebuildBitwise) {
   const util::CheckResult result = util::ForAll<ProgramSpec>(
       "plan_session_replay_bitwise", ProgramDomain(),
@@ -489,11 +481,57 @@ TEST_F(PlanEquivalenceTest, SessionReplayMatchesEagerRebuildBitwise) {
   EXPECT_TRUE(result.ok) << result.report;
 }
 
+// Plan replay reruns every kernel on the buffers the previous epoch left
+// behind, so each kernel must fully overwrite its output or zero it itself.
+// Filling every recorded op output (values and grad) with NaN before the
+// replay makes any kernel that reads its output before writing it poison
+// the stream: replay must still equal the eager run bitwise, for every op
+// case of the shared registry (large shapes included) at several thread
+// counts.
+TEST_F(PlanEquivalenceTest, FullOverwriteContractHoldsUnderNanPrefill) {
+  const std::vector<OpCase> cases = MakeOpCases(kSeed + 600, /*include_large=*/true);
+  ASSERT_FALSE(cases.empty());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const OpCase& c = cases[i];
+    const uint64_t value_seed = kSeed ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+    for (const int threads : {1, 2, 7, 16}) {
+      util::SetNumThreads(threads);
+      const std::vector<float> eager = RunOpCaseBitstream(c, value_seed);
+
+      util::Rng rng(value_seed);
+      std::vector<Tensor> inputs = c.make_inputs(rng);
+      plan::PlanSession session;
+      const plan::PlanKey key{{value_seed}};
+      Tensor output;
+      Tensor loss;
+      {
+        plan::PlanSession::RecordScope record(&session);
+        output = c.forward(inputs);
+        loss = OpCaseLoss(output, value_seed);
+      }
+      if (loss.requires_grad()) loss.Backward();
+      session.Seal(loss, key);
+      for (const auto& op : session.tape().ops) {
+        std::fill(op.out->values.begin(), op.out->values.end(), nan);
+        std::fill(op.out->grad.begin(), op.out->grad.end(), nan);
+      }
+      for (Tensor& t : inputs) t.ZeroGrad();
+      ASSERT_TRUE(session.Replay(key));
+      const std::vector<float> replayed = OpCaseBitstream(output, loss, inputs);
+      EXPECT_TRUE(replayed.size() == eager.size() &&
+                  (eager.empty() || std::memcmp(replayed.data(), eager.data(),
+                                                eager.size() * sizeof(float)) == 0))
+          << c.op << " (" << c.variant << ") replay over NaN-filled outputs diverges from eager"
+          << " at threads=" << threads;
+    }
+  }
+}
+
 // Key and global-version changes force a re-record; a matching key replays
-// with zero pool acquisitions.
+// in place, in the buffers recorded at seal.
 TEST_F(PlanEquivalenceTest, ShapeChangeAndVersionBumpForceReRecord) {
   util::SetNumThreads(1);
-  tensor::SetPoolEnabled(true);
   ProgramSpec spec;
   spec.rows = 4;
   spec.cols = 3;
@@ -510,13 +548,13 @@ TEST_F(PlanEquivalenceTest, ShapeChangeAndVersionBumpForceReRecord) {
   session.Seal(loss, plan::PlanKey{{spec.seed, 4, 3}});
   ASSERT_TRUE(session.sealed());
 
-  // Matching key: replays, and touches the pool zero times.
-  tensor::TensorPool* pool = tensor::TensorPool::ThreadLocal();
-  ASSERT_NE(pool, nullptr);
-  const uint64_t acquires_before = pool->stats().hits + pool->stats().misses;
-  EXPECT_TRUE(session.Replay(plan::PlanKey{{spec.seed, 4, 3}}));
-  EXPECT_EQ(pool->stats().hits + pool->stats().misses, acquires_before)
-      << "replay acquired tensors from the pool";
+  // Matching key: replays, and every op output keeps its buffers.
+  const std::vector<BufferAddresses> recorded = TapeBufferAddresses(session.tape());
+  for (int replay = 0; replay < 5; ++replay) {
+    EXPECT_TRUE(session.Replay(plan::PlanKey{{spec.seed, 4, 3}}));
+    EXPECT_EQ(TapeBufferAddresses(session.tape()), recorded)
+        << "replay " << replay << " moved an op output's values or grad";
+  }
 
   // Shape change (different key): replay refuses and drops the plan.
   EXPECT_FALSE(session.Replay(plan::PlanKey{{spec.seed, 5, 3}}));

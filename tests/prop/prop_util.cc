@@ -410,8 +410,17 @@ std::vector<float> RunOpCaseBitstream(const OpCase& c, uint64_t value_seed) {
   util::Rng rng(value_seed);
   std::vector<Tensor> inputs = c.make_inputs(rng);
   Tensor output = c.forward(inputs);
-  Tensor loss = tensor::Sum(tensor::Mul(output, LossWeights(output, value_seed)));
+  Tensor loss = OpCaseLoss(output, value_seed);
   if (loss.requires_grad()) loss.Backward();
+  return OpCaseBitstream(output, loss, inputs);
+}
+
+Tensor OpCaseLoss(const Tensor& output, uint64_t value_seed) {
+  return tensor::Sum(tensor::Mul(output, LossWeights(output, value_seed)));
+}
+
+std::vector<float> OpCaseBitstream(const Tensor& output, const Tensor& loss,
+                                   const std::vector<Tensor>& inputs) {
   std::vector<float> stream = output.values();
   stream.push_back(loss.Value());
   for (const Tensor& t : inputs) {

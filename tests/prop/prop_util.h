@@ -226,10 +226,18 @@ struct OpCase {
 std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large);
 
 // Runs `c` end to end at deterministic values: builds inputs from
-// `value_seed`, runs forward, reduces with a fixed-weight Sum(Mul(y, W))
-// loss, backpropagates, and returns forward values followed by every input
-// gradient. Used for bitwise cross-thread comparison.
+// `value_seed`, runs forward, reduces with OpCaseLoss, backpropagates, and
+// returns OpCaseBitstream. Used for bitwise cross-thread comparison.
 std::vector<float> RunOpCaseBitstream(const OpCase& c, uint64_t value_seed);
+
+// The loss RunOpCaseBitstream backpropagates: a fixed-weight
+// Sum(Mul(output, W)) with W drawn from `value_seed`.
+Tensor OpCaseLoss(const Tensor& output, uint64_t value_seed);
+
+// RunOpCaseBitstream's result layout: forward values, the loss, then every
+// input gradient.
+std::vector<float> OpCaseBitstream(const Tensor& output, const Tensor& loss,
+                                   const std::vector<Tensor>& inputs);
 
 // Max relative FD-vs-autograd gradient error for `c` at values drawn from
 // `value_seed` (relative to max(1, |analytic|, |numeric|)). Appends a

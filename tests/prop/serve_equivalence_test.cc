@@ -2,7 +2,7 @@
 // server — any worker count, any coalescing setting, any arrival
 // interleaving across models — is a pure scheduling change. Every response
 // must be BITWISE-equal (edge scores, flow scores, top-k flow rankings) to
-// batch eval::ExplainAll over the same tasks: the same contract the pool
+// batch eval::ExplainAll over the same tasks: the same contract the plan
 // suite pins for its layer.
 
 #include <cstdint>

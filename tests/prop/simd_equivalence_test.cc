@@ -12,7 +12,7 @@
 //                 whose shared lane-partial DotF32 reduces in a different
 //                 order than the serial loop.
 //
-// The grid runs threads {1, 2, 7, 16} x pool {on, off}; a separate test pins
+// The grid runs threads {1, 2, 7, 16}; a separate test pins
 // the SIMD path itself bitwise across thread counts (chunk boundaries only
 // shift the vector-body/tail split, never the bits), and a plan-session test
 // proves replayed tapes honor the runtime toggle because dispatch lives
@@ -29,7 +29,6 @@
 #include "plan/plan.h"
 #include "prop/prop_util.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "tensor/simd.h"
 #include "util/parallel.h"
 #include "util/proptest.h"
@@ -56,7 +55,6 @@ class SimdEquivalenceTest : public ::testing::Test {
  protected:
   void TearDown() override {
     util::SetNumThreads(1);
-    tensor::SetPoolEnabled(true);
     tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
     plan::SetExecPlanEnabled(true);
   }
@@ -66,26 +64,21 @@ TEST_F(SimdEquivalenceTest, AllOpsMatchScalarUnderDeclaredTolerance) {
   const std::vector<OpCase> cases = MakeOpCases(kSeed, /*include_large=*/true);
   ASSERT_FALSE(cases.empty());
   for (const OpCase& c : cases) {
-    // Scalar reference: SIMD off, one thread, pool on.
+    // Scalar reference: SIMD off, one thread.
     util::SetNumThreads(1);
-    tensor::SetPoolEnabled(true);
     tensor::simd::SetEnabled(false);
     const std::vector<float> reference = RunOpCaseBitstream(c, kSeed ^ 0xabcdULL);
 
     tensor::simd::SetEnabled(true);
     const util::Tolerance tolerance = ToleranceFor(c.op);
     for (const int threads : {1, 2, 7, 16}) {
-      for (const bool pool_on : {true, false}) {
-        util::SetNumThreads(threads);
-        tensor::SetPoolEnabled(pool_on);
-        const std::vector<float> simd = RunOpCaseBitstream(c, kSeed ^ 0xabcdULL);
-        ASSERT_EQ(simd.size(), reference.size()) << c.op << " " << c.variant;
-        const std::string failure = util::CompareFloatStreams(
-            simd.data(), reference.data(), static_cast<int64_t>(simd.size()), tolerance,
-            c.op + "/" + c.variant + " threads=" + std::to_string(threads) + " pool=" +
-                (pool_on ? "on" : "off"));
-        EXPECT_TRUE(failure.empty()) << failure;
-      }
+      util::SetNumThreads(threads);
+      const std::vector<float> simd = RunOpCaseBitstream(c, kSeed ^ 0xabcdULL);
+      ASSERT_EQ(simd.size(), reference.size()) << c.op << " " << c.variant;
+      const std::string failure = util::CompareFloatStreams(
+          simd.data(), reference.data(), static_cast<int64_t>(simd.size()), tolerance,
+          c.op + "/" + c.variant + " threads=" + std::to_string(threads));
+      EXPECT_TRUE(failure.empty()) << failure;
     }
   }
 }

@@ -157,7 +157,6 @@ TEST_F(RecorderTest, ChromeTraceExportParsesBack) {
   obs::RecordFlightEvent(obs::FlightEventKind::kSpanBegin, "test.trace.span");
   obs::RecordFlightEvent(obs::FlightEventKind::kSpanEnd, "test.trace.span", 12.5);
   obs::RecordFlightEvent(obs::FlightEventKind::kCounterDelta, "test.trace.counter", 2.0);
-  obs::RecordFlightEvent(obs::FlightEventKind::kPoolHighWater, "test.trace.pool", 4096.0);
   obs::RecordPhase("test.trace.phase");
 
   const std::string path = TempPath("flight_export.json");
@@ -172,12 +171,12 @@ TEST_F(RecorderTest, ChromeTraceExportParsesBack) {
   EXPECT_EQ(other->Find("capacity")->number_value,
             static_cast<double>(obs::FlightRecorder::Global().capacity()));
   ASSERT_NE(other->Find("total_recorded"), nullptr);
-  EXPECT_EQ(other->Find("total_recorded")->number_value, 5.0);
+  EXPECT_EQ(other->Find("total_recorded")->number_value, 4.0);
 
   const obs::JsonValue* events = root.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->array_items.size(), 5u);
+  ASSERT_EQ(events->array_items.size(), 4u);
   std::set<std::string> phases;
   for (const obs::JsonValue& event : events->array_items) {
     ASSERT_TRUE(event.is_object());
@@ -192,11 +191,6 @@ TEST_F(RecorderTest, ChromeTraceExportParsesBack) {
       EXPECT_EQ(ph, "C");
       ASSERT_NE(event.Find("args"), nullptr);
       EXPECT_EQ(event.Find("args")->Find("delta")->number_value, 2.0);
-    }
-    if (name == "test.trace.pool") {
-      EXPECT_EQ(ph, "i");
-      ASSERT_NE(event.Find("args"), nullptr);
-      EXPECT_EQ(event.Find("args")->Find("bytes_peak")->number_value, 4096.0);
     }
   }
   EXPECT_TRUE(phases.count("B"));

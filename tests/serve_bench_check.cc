@@ -5,7 +5,6 @@
 // point exists, the server's observed accepted/rejected/timed-out/served
 // counts EXACTLY match the oracle-computed expectations for the seeded
 // trace, every served explanation was bitwise-equal to batch ExplainAll,
-// the warm-pool steady state held (warm_misses == 0 with warm_hits > 0),
 // and the measured p99 latency stayed within the stated SLO bound. Exit 1
 // on validation failure, 2 on usage/IO errors.
 
@@ -136,24 +135,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Warm-pool steady state (PR 5 contract carried into serving): after the
-  // warmup window every acquisition is served from the free lists.
-  const JsonValue* warm_misses = RequireNumber(point, "warm_misses");
-  const JsonValue* warm_hits = RequireNumber(point, "warm_hits");
-  if (warm_misses == nullptr || warm_hits == nullptr) return 1;
-  if (warm_misses->number_value != 0.0) {
-    std::fprintf(stderr,
-                 "serve_bench_check: %.0f pool misses in steady-state serving (expected 0)\n",
-                 warm_misses->number_value);
-    return 1;
-  }
-  if (warm_hits->number_value <= 0.0) {
-    std::fprintf(stderr,
-                 "serve_bench_check: no pool hits in steady-state serving — the warm "
-                 "pool is not wired in\n");
-    return 1;
-  }
-
   // SLO envelope: p99 latency within the stated bound at the quick trace size.
   const JsonValue* p99 = RequireNumber(point, "p99_seconds");
   const JsonValue* p99_bound = RequireNumber(point, "p99_bound_seconds");
@@ -167,7 +148,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serve_bench_check: %s ok (%.0f requests, oracle-exact admission, bitwise-equal "
-      "results, 0 steady-state misses, p99 %.4fs <= %.1fs, speedup %.2fx)\n",
+      "results, p99 %.4fs <= %.1fs, speedup %.2fx)\n",
       argv[1], requests->number_value, p99->number_value, p99_bound->number_value,
       speedup->number_value);
   return 0;
