@@ -7,8 +7,8 @@
 // and a batched Revelio explain — and writes machine-readable timings plus a
 // bitwise-equality check against the 1-thread run to BENCH_parallel.json.
 //
-// A second sweep times the fused CSR SpMM aggregation against the legacy
-// Gather -> RowScale -> ScatterAdd chain at 1 thread across three sizes and
+// A second sweep times the fused CSR SpMM aggregation against its
+// Gather -> RowScale -> ScatterAdd chain oracle at 1 thread across three sizes and
 // writes BENCH_spmm.json (with a bitwise fused-vs-chain output check).
 // `--quick` runs only that sweep at reduced sizes — the mode the
 // bench-regression ctest uses — and `--spmm-out FILE` overrides its output
@@ -411,7 +411,7 @@ void RunThreadSweep() {
               util::HardwareThreads());
 }
 
-// --- Fused SpMM vs legacy chain sweep (BENCH_spmm.json) ----------------------
+// --- Fused SpMM vs chain oracle sweep (BENCH_spmm.json) ----------------------
 
 struct SpmmPoint {
   int edges = 0;
@@ -423,8 +423,8 @@ struct SpmmPoint {
   bool bitwise_equal = false;  // fused output vs chain output
 };
 
-// Times the fused SpmmCsrWeighted forward against the legacy
-// Gather -> RowScale -> ScatterAdd chain on 1 thread (the paths are
+// Times the fused SpmmCsrWeighted forward against the
+// Gather -> RowScale -> ScatterAdd chain oracle on 1 thread (the paths are
 // bitwise-equal, so the comparison is pure kernel cost; thread scaling is
 // covered by the thread sweep above). Min-of-5 trials per path, repetitions
 // sized so each trial is long enough to time.
@@ -514,7 +514,7 @@ void WriteSpmmJson(const std::vector<SpmmPoint>& points, const std::string& path
 }
 
 void RunSpmmSweepAndReport(bool quick, const std::string& out_path) {
-  std::printf("== fused SpMM vs legacy chain sweep (writes %s) ==\n", out_path.c_str());
+  std::printf("== fused SpMM vs chain oracle sweep (writes %s) ==\n", out_path.c_str());
   const std::vector<SpmmPoint> points = RunSpmmSweep(quick);
   for (const SpmmPoint& p : points) {
     std::printf(

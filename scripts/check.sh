@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Full verification ladder: tier-1 -> property suites -> ASan -> UBSan -> TSan.
-# The property stage includes the fused-SpMM equivalence suite
-# (spmm_equivalence_test), the serving equivalence suite
-# (serve_equivalence_test), and the plan replay harness
-# (plan_equivalence_test); the TSan pass runs each as its own named
-# stage so a data race in the fused aggregation path, the concurrent
-# instance-parallel serving groups, or the level-parallel plan executor is
-# attributed directly. The plan and simd stages rerun their equivalence
-# suites under ASan, including the plan replay over NaN-filled outputs
-# (plan_equivalence_test), so full-overwrite contract violations surface as
-# NaNs: any vector sweep that over-reads past a tensor's end or reads a stale
-# output as data trips ASan or the bitwise check respectively. (UBSan covers
-# the intrinsic wrappers too — simd.cc is in the instrumented smoke set, so
-# misaligned or out-of-range lane arithmetic fails the ubsan stage.)
+# The property stage includes the aggregation suites (spmm_equivalence_test:
+# the one SpMM kernel against its gather/scale/scatter chain oracle;
+# dense_reference_test: the GCN/GIN/GAT layers against a dense adjacency),
+# the serving equivalence suite (serve_equivalence_test), and the plan replay
+# harness (plan_equivalence_test); the TSan pass runs each as its own named
+# stage so a data race in the aggregation kernel or the layers over it, the
+# concurrent instance-parallel serving groups, or the level-parallel plan
+# executor is attributed directly. The plan and simd stages rerun their
+# equivalence suites under ASan, including the plan replay over NaN-filled
+# outputs (plan_equivalence_test), so full-overwrite contract violations
+# surface as NaNs: any vector sweep that over-reads past a tensor's end or
+# reads a stale output as data trips ASan or the bitwise check respectively.
+# (UBSan covers the intrinsic wrappers too — simd.cc is in the instrumented
+# smoke set, so misaligned or out-of-range lane arithmetic fails the ubsan
+# stage.)
 #
 # Usage: scripts/check.sh [--fast] [-j N]
 #   --fast   skip the sanitizer stages (tier1 + prop only)
@@ -93,7 +95,9 @@ if [[ "${FAST}" -eq 0 ]]; then
   run_stage "ubsan-build" build_preset ubsan
   run_stage "ubsan"       ctest --preset ubsan
   run_stage "tsan-build"  build_preset tsan
-  run_stage "tsan-spmm"   ctest --preset tsan -R spmm_equivalence_test
+  # Aggregation under TSan: the kernel-vs-chain suite and the only
+  # layer-level suite over the kernel, across thread counts.
+  run_stage "tsan-spmm"   ctest --preset tsan -R "spmm_equivalence_test|dense_reference_test"
   # Serving engine under TSan: the fault-injection suite, the equivalence
   # sweep (concurrent workers + coalescing vs batch ExplainAll), and the
   # trace-replay fixture all hammer the admission queue with concurrent
@@ -108,7 +112,7 @@ if [[ "${FAST}" -eq 0 ]]; then
   # across thread-pool workers, and re-record after invalidation races the global
   # plan version bump; both must stay clean across thread counts.
   run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test"
-  run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|plan_equivalence_test|plan_test"
+  run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|dense_reference_test|plan_equivalence_test|plan_test"
 fi
 
 echo

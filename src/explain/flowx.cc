@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "flow/flow_scores.h"
 #include "nn/loss.h"
@@ -110,6 +111,7 @@ Explanation FlowXExplainer::ExplainImpl(const ExplanationTask& task, Objective o
   Tensor flow_params = Tensor::FromVector(init_params).WithRequiresGrad();
   nn::Adam optimizer({flow_params}, options_.learning_rate);
 
+  Explanation explanation;
   obs::ScopedSpan learn_span("flowx.learn");
   for (int epoch = 0; epoch < options_.learning_epochs; ++epoch) {
     optimizer.ZeroGrad();
@@ -138,11 +140,23 @@ Explanation FlowXExplainer::ExplainImpl(const ExplanationTask& task, Objective o
     }
     loss = tensor::Add(loss, tensor::MulScalar(mask_mean, options_.alpha));
     loss.Backward();
+    // A diverged objective (e.g. a huge learning rate) would only turn into
+    // NaN flow scores: stop and report it instead.
+    if (!std::isfinite(loss.At(0, 0))) {
+      explanation.status = util::Status::Internal(
+          "FlowX mask learning diverged: non-finite loss at epoch " + std::to_string(epoch));
+      break;
+    }
     optimizer.Step();
     loss.ReleaseTape();
   }
+  // The last Step is not followed by a loss, so check what it left behind.
+  if (explanation.status.ok() && !AllFinite(flow_params)) {
+    explanation.status = util::Status::Internal(
+        "FlowX mask learning diverged: non-finite flow masks after the last epoch");
+  }
+  if (!explanation.status.ok()) return explanation;
 
-  Explanation explanation;
   explanation.has_flow_scores = true;
   explanation.flow_scores.resize(flows.num_flows());
   Tensor omega = tensor::Tanh(flow_params);

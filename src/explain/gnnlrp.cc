@@ -47,9 +47,8 @@ LrpTrace BuildTrace(const ExplanationTask& task, const gnn::LayerEdgeSet& edges)
       for (int e = edges.num_base_edges; e < edges.num_layer_edges(); ++e) {
         coefficients[e] = 1.0f + layer.eps();
       }
-      Tensor messages = tensor::RowScale(tensor::GatherRows(h, edges.src),
-                                         Tensor::FromVector(coefficients));
-      Tensor aggregated = tensor::ScatterAddRows(messages, edges.dst, edges.num_nodes);
+      Tensor aggregated =
+          tensor::SpmmCsrWeighted(edges.csr, Tensor::FromVector(coefficients), h);
       Tensor hidden = tensor::Relu(layer.mlp_first().Forward(aggregated));
       trace.gcn_pre.emplace_back();
       trace.gin_aggregate.push_back(aggregated);

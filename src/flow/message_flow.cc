@@ -107,7 +107,11 @@ void EnumerateBackward(const gnn::LayerEdgeSet& edges, int node, int l,
     out->AddFlow(*path);
     return;
   }
-  for (int e : edges.in_layer_edges[node]) {
+  // CSR row `node` lists its incoming layer edges in increasing id
+  // (gnn::LayerEdgeSet::csr), which fixes the flow order.
+  const tensor::CsrPattern& in = *edges.csr;
+  for (int k = in.row_ptr[node]; k < in.row_ptr[node + 1]; ++k) {
+    const int e = in.edge_idx[k];
     (*path)[l] = e;
     EnumerateBackward(edges, edges.src[e], l - 1, path, out, max_flows);
   }

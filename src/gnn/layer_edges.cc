@@ -1,8 +1,6 @@
 #include "gnn/layer_edges.h"
 
 #include <cmath>
-#include <memory>
-#include <utility>
 
 namespace revelio::gnn {
 
@@ -21,46 +19,11 @@ LayerEdgeSet BuildLayerEdges(const graph::Graph& graph) {
     set.src.push_back(v);
     set.dst.push_back(v);
   }
-  set.in_layer_edges.assign(graph.num_nodes(), {});
-  for (int e = 0; e < total; ++e) set.in_layer_edges[set.dst[e]].push_back(e);
-
-  // Splice one self-loop per node onto the graph's cached destination-grouped
-  // CSR. Self-loop layer-edge ids (E + v) sort after every base edge id, so
-  // appending them at the end of row v / transpose column v preserves the
-  // increasing-edge-id order the fused SpMM kernels rely on for bitwise
-  // equality with the legacy scatter scan.
-  const tensor::CsrPattern& base = *graph.InCsr();
-  const int n = graph.num_nodes();
-  const int num_base = graph.num_edges();
-  auto aug = std::make_shared<tensor::CsrPattern>();
-  aug->num_rows = n;
-  aug->num_cols = n;
-  aug->num_edges = total;
-  aug->row_ptr.resize(static_cast<size_t>(n) + 1);
-  aug->tcol_ptr.resize(static_cast<size_t>(n) + 1);
-  aug->col_idx.reserve(total);
-  aug->edge_idx.reserve(total);
-  aug->trow_idx.reserve(total);
-  aug->tedge_idx.reserve(total);
-  aug->row_ptr[0] = 0;
-  aug->tcol_ptr[0] = 0;
-  for (int v = 0; v < n; ++v) {
-    for (int k = base.row_ptr[v]; k < base.row_ptr[v + 1]; ++k) {
-      aug->col_idx.push_back(base.col_idx[k]);
-      aug->edge_idx.push_back(base.edge_idx[k]);
-    }
-    aug->col_idx.push_back(v);
-    aug->edge_idx.push_back(num_base + v);
-    aug->row_ptr[static_cast<size_t>(v) + 1] = static_cast<int>(aug->col_idx.size());
-    for (int k = base.tcol_ptr[v]; k < base.tcol_ptr[v + 1]; ++k) {
-      aug->trow_idx.push_back(base.trow_idx[k]);
-      aug->tedge_idx.push_back(base.tedge_idx[k]);
-    }
-    aug->trow_idx.push_back(v);
-    aug->tedge_idx.push_back(num_base + v);
-    aug->tcol_ptr[static_cast<size_t>(v) + 1] = static_cast<int>(aug->trow_idx.size());
-  }
-  set.csr = std::move(aug);
+  // Stable counting sort over the augmented list: row v (and transpose
+  // column v) lists its layer edges in increasing id, so base edges keep
+  // their graph order and the self-loop E + v comes last. Flow enumeration
+  // walks these rows, and the SpMM kernels accumulate in this order.
+  set.csr = tensor::BuildCsrPattern(set.num_nodes, set.num_nodes, set.dst, set.src);
   return set;
 }
 

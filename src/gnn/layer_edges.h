@@ -22,12 +22,12 @@ struct LayerEdgeSet {
   int num_base_edges = 0;              // == graph.num_edges()
   std::vector<int> src;                // per layer edge
   std::vector<int> dst;                // per layer edge
-  std::vector<std::vector<int>> in_layer_edges;  // per node: incoming layer edges
 
-  // Aggregation pattern over the augmented edge list, grouped by destination
-  // node with weight slots = layer-edge indices; spliced from the graph's
-  // cached InCsr() by BuildLayerEdges. Null on default-constructed sets, in
-  // which case layers fall back to the legacy gather/scatter chain.
+  // The one destination-grouped adjacency: row v lists the layer edges
+  // entering v (weight slot = layer-edge index) in increasing id, so the
+  // self-loop SelfLoopOf(v) is last; transpose column v lists the layer edges
+  // leaving v in the same order. Layers aggregate over it and flow
+  // enumeration walks its rows.
   tensor::CsrPatternRef csr;
 
   int num_layer_edges() const { return static_cast<int>(src.size()); }

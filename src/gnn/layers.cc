@@ -1,44 +1,14 @@
 #include "gnn/layers.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "util/flags.h"
 
 namespace revelio::gnn {
 
 using tensor::Tensor;
-
-namespace {
-
-std::atomic<bool>& FusedAggregationFlag() {
-  static std::atomic<bool> flag(util::EnvFlag("REVELIO_FUSED_AGG", true));
-  return flag;
-}
-
-// Aggregation step shared by all layers: out[j] = sum over in-layer-edges e
-// of scale[e] * h[src(e)]. Dispatches to the fused SpMM when the edge set
-// carries a CSR pattern and the toggle is on; both paths are bitwise-equal
-// (the fused kernel reproduces the chain's serial scan order, see
-// tensor/ops_spmm.cc and tests/prop/spmm_equivalence_test.cc).
-Tensor AggregateMessages(const LayerEdgeSet& edges, const Tensor& scale, const Tensor& h) {
-  if (FusedAggregationEnabled() && edges.csr != nullptr) {
-    return tensor::SpmmCsrWeighted(edges.csr, scale, h);
-  }
-  Tensor messages = tensor::RowScale(tensor::GatherRows(h, edges.src), scale);
-  return tensor::ScatterAddRows(messages, edges.dst, edges.num_nodes);
-}
-
-}  // namespace
-
-bool FusedAggregationEnabled() { return FusedAggregationFlag().load(std::memory_order_relaxed); }
-
-void SetFusedAggregation(bool enabled) {
-  FusedAggregationFlag().store(enabled, std::memory_order_relaxed);
-}
 
 GcnLayer::GcnLayer(int in_dim, int out_dim, util::Rng* rng, bool normalize)
     : GnnLayer(in_dim, out_dim), normalize_(normalize) {
@@ -60,7 +30,7 @@ tensor::Tensor GcnLayer::Forward(const graph::Graph& graph, const LayerEdgeSet& 
   Tensor hw = linear_->Forward(h);
   Tensor scale = Tensor::FromData(edges.num_layer_edges(), 1, Coefficients(graph, edges));
   if (edge_mask.defined()) scale = tensor::Mul(scale, edge_mask);
-  Tensor aggregated = AggregateMessages(edges, scale, hw);
+  Tensor aggregated = tensor::SpmmCsrWeighted(edges.csr, scale, hw);
   return tensor::AddRowBroadcast(aggregated, bias_added_);
 }
 
@@ -79,7 +49,7 @@ tensor::Tensor GinLayer::Forward(const graph::Graph& graph, const LayerEdgeSet& 
   std::fill(coefficients.begin(), coefficients.begin() + edges.num_base_edges, 1.0f);
   Tensor scale = Tensor::FromData(edges.num_layer_edges(), 1, std::move(coefficients));
   if (edge_mask.defined()) scale = tensor::Mul(scale, edge_mask);
-  Tensor aggregated = AggregateMessages(edges, scale, h);
+  Tensor aggregated = tensor::SpmmCsrWeighted(edges.csr, scale, h);
   return mlp_second_->Forward(tensor::Relu(mlp_first_->Forward(aggregated)));
 }
 
@@ -115,7 +85,7 @@ tensor::Tensor GatLayer::Forward(const graph::Graph& graph, const LayerEdgeSet& 
     edge_logits = tensor::LeakyRelu(edge_logits, 0.2f);
     Tensor attention = tensor::SegmentSoftmax(edge_logits, edges.dst, edges.num_nodes);
     Tensor scale = edge_mask.defined() ? tensor::Mul(attention, edge_mask) : attention;
-    Tensor head_out = AggregateMessages(edges, scale, wh);
+    Tensor head_out = tensor::SpmmCsrWeighted(edges.csr, scale, wh);
     if (!combined.defined()) {
       combined = head_out;
     } else if (concat_) {

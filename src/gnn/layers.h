@@ -8,7 +8,9 @@
 //   m_ij = MSG(h_i, h_j, e_ij) * mask[e_ij]
 //
 // The mask hook is the single integration point for Revelio, the
-// perturbation-based baselines, and fidelity evaluation.
+// perturbation-based baselines, and fidelity evaluation. Every layer
+// aggregates its scaled messages with one weighted CSR SpMM
+// (tensor::SpmmCsrWeighted over LayerEdgeSet::csr).
 
 #include <memory>
 #include <vector>
@@ -19,14 +21,6 @@
 #include "tensor/tensor.h"
 
 namespace revelio::gnn {
-
-// Runtime toggle for the fused CSR SpMM aggregation path. Defaults to on;
-// REVELIO_FUSED_AGG=0 (or "false"/"off") at process start selects the legacy
-// Gather -> RowScale -> ScatterAdd chain, kept alive as the differential
-//-testing oracle. Layers also fall back to the chain when a LayerEdgeSet has
-// no CSR pattern (default-constructed sets).
-bool FusedAggregationEnabled();
-void SetFusedAggregation(bool enabled);
 
 class GnnLayer : public nn::Module {
  public:

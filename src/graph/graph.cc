@@ -83,34 +83,6 @@ int Graph::MaxInDegree() const {
   return best;
 }
 
-const tensor::CsrPatternRef& Graph::InCsr() const {
-  std::lock_guard<std::mutex> lock(caches_.mu);
-  if (caches_.in_csr == nullptr) {
-    std::vector<int> rows(edges_.size());
-    std::vector<int> cols(edges_.size());
-    for (size_t e = 0; e < edges_.size(); ++e) {
-      rows[e] = edges_[e].dst;
-      cols[e] = edges_[e].src;
-    }
-    caches_.in_csr = tensor::BuildCsrPattern(num_nodes_, num_nodes_, rows, cols);
-  }
-  return caches_.in_csr;
-}
-
-const tensor::CsrPatternRef& Graph::OutCsr() const {
-  std::lock_guard<std::mutex> lock(caches_.mu);
-  if (caches_.out_csr == nullptr) {
-    std::vector<int> rows(edges_.size());
-    std::vector<int> cols(edges_.size());
-    for (size_t e = 0; e < edges_.size(); ++e) {
-      rows[e] = edges_[e].src;
-      cols[e] = edges_[e].dst;
-    }
-    caches_.out_csr = tensor::BuildCsrPattern(num_nodes_, num_nodes_, rows, cols);
-  }
-  return caches_.out_csr;
-}
-
 Graph Graph::RemoveEdges(const std::vector<int>& removed, std::vector<int>* index_map_out) const {
   std::unordered_set<int> removed_set(removed.begin(), removed.end());
   CHECK_EQ(removed_set.size(), removed.size()) << "duplicate edge indices in RemoveEdges";

@@ -3,8 +3,8 @@
 
 // Directed graph container shared by datasets, GNN layers and explainers.
 //
-// Edges are directed and stored in insertion order (COO); CSR-style in/out
-// adjacency indexes are built on demand. Following the paper, the stored
+// Edges are directed and stored in insertion order (COO); per-node in/out
+// edge lists are built on demand. Following the paper, the stored
 // edge list never contains self-loops; models that need them (GCN/GIN/GAT)
 // work on the augmented LayerEdgeSet built by gnn::BuildLayerEdges.
 
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/sparse.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
 
@@ -48,8 +47,8 @@ class Graph {
   // §12), so a mutated or rebuilt graph can never replay a stale plan.
   uint64_t structure_version() const { return structure_version_; }
 
-  // Grows the node set (and invalidates every adjacency cache: the in/out
-  // edge lists are sized to the node count, not just the CSR views).
+  // Grows the node set (and invalidates the adjacency cache: the in/out
+  // edge lists are sized to the node count).
   void set_num_nodes(int n);
 
   // Appends a directed edge src -> dst; returns its index. Self-loops are
@@ -74,15 +73,6 @@ class Graph {
   // Largest in-degree (the paper's d_-; bounds the number of message flows).
   int MaxInDegree() const;
 
-  // Cached CSR view of the base edges grouped by destination node: row v
-  // lists the edges entering v in increasing edge-index order, with the
-  // edge index as the weight slot (feeds the fused SpMM aggregation path).
-  // Built lazily; invalidated by AddEdge/set_num_nodes. RemoveEdges returns
-  // a fresh Graph, so its caches start cold by construction.
-  const tensor::CsrPatternRef& InCsr() const;
-  // Same, grouped by source node (row v lists edges leaving v).
-  const tensor::CsrPatternRef& OutCsr() const;
-
   // A copy of this graph without the edges whose indices are listed (node
   // set unchanged). `removed` must contain valid, distinct edge indices.
   // `index_map_out`, if non-null, receives old-edge-index -> new-edge-index
@@ -99,8 +89,8 @@ class Graph {
   std::vector<Edge> edges_;
   uint64_t structure_version_ = internal::NextGraphStructureVersion();
 
-  // Lazily-built adjacency caches. Const readers may run concurrently
-  // (batched explanation shares one task graph across threads), so every
+  // Lazily-built in/out edge lists. Const readers may run concurrently
+  // (batched explanation shares one task graph across threads), so the
   // cache is built and read under `mu`; a built cache is never rebuilt until
   // a mutation (AddEdge, set_num_nodes), which must not race readers. A copy
   // starts cold.
@@ -111,18 +101,12 @@ class Graph {
       Reset();
       return *this;
     }
-    void Reset() {
-      adjacency_built = false;
-      in_csr.reset();
-      out_csr.reset();
-    }
+    void Reset() { adjacency_built = false; }
 
     std::mutex mu;
     bool adjacency_built = false;
     std::vector<std::vector<int>> in_edges;
     std::vector<std::vector<int>> out_edges;
-    tensor::CsrPatternRef in_csr;
-    tensor::CsrPatternRef out_csr;
   };
   mutable Caches caches_;
 };

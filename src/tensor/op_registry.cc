@@ -20,9 +20,9 @@ const std::vector<std::string>& RegisteredOpNames() {
       "RowSoftmax", "RowLogSoftmax",
       // Indexing / message passing.
       "GatherRows", "ScatterAddRows", "RowScale", "ConcatCols", "SegmentSoftmax",
-      "SegmentMeanRows", "SegmentMaxRows", "Select", "NllLoss",
-      // Fused sparse aggregation.
-      "SpmmCsr", "SpmmCsrWeighted", "SpmmCsrMean",
+      "SegmentMaxRows", "Select", "NllLoss",
+      // Sparse aggregation.
+      "SpmmCsrWeighted",
   };
   return *kNames;
 }

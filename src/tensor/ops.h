@@ -4,10 +4,13 @@
 // Differentiable operations over Tensor. Every op returns a fresh tensor
 // whose backward function accumulates gradients into its inputs.
 //
-// Index-based ops (GatherRows / ScatterAddRows / RowScale / Segment*) are the
-// message-passing primitives: a GNN layer is
-//   messages = RowScale(GatherRows(H, src), coeff * mask)
-//   H'       = ScatterAddRows(messages, dst, num_nodes)
+// Every GNN layer aggregates its messages with one kernel, SpmmCsrWeighted:
+//   H' = SpmmCsrWeighted(edges.csr, coeff * mask, H)
+// The index ops below spell out the same sum as a chain,
+//   H' = ScatterAddRows(RowScale(GatherRows(H, src), coeff * mask), dst, n)
+// which is the test oracle the kernel is checked against bit for bit;
+// RowScale is its primitive. GAT attention still runs on GatherRows and
+// SegmentSoftmax.
 
 #include <vector>
 
@@ -74,28 +77,17 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b);
 Tensor SegmentSoftmax(const Tensor& values, const std::vector<int>& segment_ids,
                       int num_segments);
 
-// Mean of rows per segment: (N x C) -> (S x C). Empty segments produce zeros.
-// Used as the graph-classification readout over batched graphs.
-Tensor SegmentMeanRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments);
-
 // Column-wise max per segment: (N x C) -> (S x C). Gradient flows to the
 // argmax row of each (segment, column). Empty segments produce zeros.
 Tensor SegmentMaxRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments);
 
-// --- Fused sparse aggregation -------------------------------------------------
-// Generalized SpMM over a CsrPattern: one fused pass replacing the
-// Gather -> RowScale -> ScatterAdd message-passing chain (bitwise-equal to it,
-// see ops_spmm.cc). out[j] = sum over row j's nonzeros of w_k * x[col_k].
-
-// Unweighted sum (w_k = 1). Rows with no nonzeros are exactly zero.
-Tensor SpmmCsr(const CsrPatternRef& pattern, const Tensor& x);
-
-// Per-edge weighted sum; `weights` is (pattern->num_edges x 1) and
-// differentiable, so Eq. 6 masks and GAT attention flow through this kernel.
+// --- Sparse aggregation ------------------------------------------------------
+// Weighted SpMM over a CsrPattern, the one aggregation kernel:
+// out[j] = sum over row j's nonzeros of w[edge_k] * x[col_k]. `weights` is
+// (pattern->num_edges x 1) and differentiable, so Eq. 6 masks and GAT
+// attention flow through it. Rows with no nonzeros are exactly zero.
+// Bitwise-equal to the Gather -> RowScale -> ScatterAdd chain (ops_spmm.cc).
 Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, const Tensor& x);
-
-// Per-row mean (sum scaled by 1/degree). Zero-degree rows stay exactly zero.
-Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x);
 
 // Extracts a single element as a 1x1 tensor (differentiable).
 Tensor Select(const Tensor& a, int row, int col);

@@ -220,8 +220,8 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
       float* gs = sn->grad.data();
       const float* av = an->values.data();
       // The SIMD path uses the shared DotF32 reduction — the same kernel
-      // SpmmBackwardW uses, keeping the fused-vs-chain backward identity
-      // bitwise between the two aggregation paths (ulp-bounded vs serial).
+      // SpmmBackwardW uses, keeping the SpMM kernel bitwise-equal to the
+      // chain oracle in backward too (ulp-bounded vs serial).
       util::ParallelFor(0, o->rows, RowGrain(cols), [g, gs, av, cols](int64_t rb, int64_t re) {
         const bool use_simd = simd::Enabled();
         for (int64_t r = rb; r < re; ++r) {
@@ -367,62 +367,6 @@ Tensor SegmentSoftmax(const Tensor& values, const std::vector<int>& segment_ids,
                           gv[i] += ov[i] * (g[i] - static_cast<float>(dot_data[s]));
                         }
                       });
-  });
-  return Tensor::FromNode(out);
-}
-
-Tensor SegmentMeanRows(const Tensor& a, const std::vector<int>& segment_ids, int num_segments) {
-  CHECK_EQ(a.rows(), static_cast<int>(segment_ids.size()));
-  const int cols = a.cols();
-  auto out = NewNode(num_segments, cols);
-  std::vector<int> counts(num_segments, 0);
-  for (int s : segment_ids) {
-    DCHECK(s >= 0 && s < num_segments);
-    ++counts[s];
-  }
-  const float* av = a.values().data();
-  float* ov = out->values.data();
-  const int64_t rows = a.rows();
-  // Partition over destination segments (owner computes); each chunk zeroes
-  // its own segment range before accumulating, so re-running the kernel on
-  // a retained output buffer starts clean.
-  auto kernel = [av, ov, cols, rows, num_segments](const int* seg, const int* cnt) {
-    util::ParallelFor(0, num_segments, ScatterGrain(num_segments, rows, cols),
-                      [av, ov, seg, cnt, cols, rows](int64_t sb, int64_t se) {
-                        std::fill(ov + sb * cols, ov + se * cols, 0.0f);
-                        for (int64_t r = 0; r < rows; ++r) {
-                          const int s = seg[r];
-                          if (s < sb || s >= se) continue;
-                          const float inv = 1.0f / static_cast<float>(cnt[s]);
-                          const size_t src = static_cast<size_t>(r) * cols;
-                          const size_t dst = static_cast<size_t>(s) * cols;
-                          for (int c = 0; c < cols; ++c) ov[dst + c] += av[src + c] * inv;
-                        }
-                      });
-  };
-  kernel(segment_ids.data(), counts.data());
-  if (rec::Recording()) {
-    rec::Record("SegmentMeanRows", out, {a.node()},
-                [kernel, segment_ids, counts]() { kernel(segment_ids.data(), counts.data()); });
-  }
-  AttachBackward(out, {a}, [segment_ids, counts, cols](TensorNode* o) {
-    TensorNode* an = o->parents[0].get();
-    if (!an->requires_grad) return;
-    an->EnsureGrad();
-    const float* g = o->grad.data();
-    float* ga = an->grad.data();
-    const int* seg = segment_ids.data();
-    const int* cnt = counts.data();
-    // Gather shape: each source row reads one segment row -> partition over r.
-    util::ParallelFor(0, an->rows, RowGrain(cols), [g, ga, seg, cnt, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const int s = seg[r];
-        const float inv = 1.0f / static_cast<float>(cnt[s]);
-        const size_t src = static_cast<size_t>(s) * cols;
-        const size_t dst = static_cast<size_t>(r) * cols;
-        for (int c = 0; c < cols; ++c) ga[dst + c] += g[src + c] * inv;
-      }
-    });
   });
   return Tensor::FromNode(out);
 }

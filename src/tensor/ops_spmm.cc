@@ -10,16 +10,17 @@
 #include "tensor/sparse.h"
 #include "util/parallel.h"
 
-// Fused CSR SpMM aggregation kernels. One pass replaces the legacy
-// Gather -> RowScale -> ScatterAdd chain without materializing the per-edge
-// feature matrix. All loops follow the owner-computes contract: the forward
-// pass and d-weights partition over output rows via the CSR view, dX
-// partitions over input rows via the precomputed transpose, so every float
-// has exactly one writer and results are bitwise-identical for any thread
-// count. Within a row, nonzeros are visited in increasing edge order and
-// accumulated as multiply-then-add into a zero-initialized accumulator —
-// exactly the operation sequence of the legacy chain, which keeps the fused
-// path bitwise-equal to it (no FMA contraction on the baseline target).
+// The weighted CSR SpMM, the one aggregation kernel of every GNN layer. One
+// pass computes what the Gather -> RowScale -> ScatterAdd chain computes
+// without materializing the per-edge feature matrix. All loops follow the
+// owner-computes contract: the forward pass and d-weights partition over
+// output rows via the CSR view, dX partitions over input rows via the
+// precomputed transpose, so every float has exactly one writer and results
+// are bitwise-identical for any thread count. Within a row, nonzeros are
+// visited in increasing edge order and accumulated as multiply-then-add into
+// a zero-initialized accumulator — exactly the operation sequence of the
+// chain, which keeps the kernel bitwise-equal to that test oracle (no FMA
+// contraction on the baseline target; tests/prop/spmm_equivalence_test.cc).
 
 namespace revelio::tensor {
 
@@ -46,7 +47,6 @@ void RecordSpmmMetrics(const CsrPattern& p, int cols) {
 }
 
 // out[j, :] = sum_k w[edge_idx[k]] * x[col_idx[k], :] over row j's nonzeros.
-// `wv == nullptr` means all-ones weights (the unweighted sum variant).
 void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* ov, int cols) {
   const int* row_ptr = p.row_ptr.data();
   const int* col_idx = p.col_idx.data();
@@ -62,7 +62,7 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* o
                         std::fill(out_row, out_row + cols, 0.0f);
                         for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
                           const size_t xbase = static_cast<size_t>(col_idx[k]) * cols;
-                          const float w = wv ? wv[edge_idx[k]] : 1.0f;
+                          const float w = wv[edge_idx[k]];
                           if (use_simd) {
                             simd::AxpyF32(w, xv + xbase, out_row, cols);
                           } else {
@@ -86,7 +86,7 @@ void SpmmBackwardX(const CsrPattern& p, const float* wv, const float* g, float* 
                         float* gx_row = gx + static_cast<size_t>(i) * cols;
                         for (int k = tcol_ptr[i]; k < tcol_ptr[i + 1]; ++k) {
                           const float* g_row = g + static_cast<size_t>(trow_idx[k]) * cols;
-                          const float w = wv ? wv[tedge_idx[k]] : 1.0f;
+                          const float w = wv[tedge_idx[k]];
                           if (use_simd) {
                             simd::AxpyF32(w, g_row, gx_row, cols);
                             continue;
@@ -108,8 +108,8 @@ void SpmmBackwardW(const CsrPattern& p, const float* g, const float* xv, float* 
                     [=](int64_t rb, int64_t re) {
                       // The SIMD dot is the shared DotF32 reduction (ulp-
                       // bounded class) — the same kernel RowScale's dscale
-                      // uses, so the fused-vs-chain backward identity stays
-                      // bitwise between the two paths.
+                      // uses, so the kernel-vs-chain backward identity stays
+                      // bitwise.
                       const bool use_simd = simd::Enabled();
                       for (int64_t j = rb; j < re; ++j) {
                         const float* g_row = g + static_cast<size_t>(j) * cols;
@@ -127,41 +127,11 @@ void SpmmBackwardW(const CsrPattern& p, const float* g, const float* xv, float* 
                     });
 }
 
-void CheckPattern(const CsrPatternRef& pattern, const Tensor& x, const char* op) {
-  CHECK(pattern != nullptr) << op << ": null CSR pattern";
-  CHECK_EQ(pattern->num_cols, x.rows()) << op << ": pattern/input row mismatch";
-}
-
 }  // namespace
 
-Tensor SpmmCsr(const CsrPatternRef& pattern, const Tensor& x) {
-  CheckPattern(pattern, x, "SpmmCsr");
-  const int cols = x.cols();
-  obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
-  RecordSpmmMetrics(*pattern, cols);
-  auto out = NewNode(pattern->num_rows, cols);
-  const float* xv = x.values().data();
-  float* ov = out->values.data();
-  SpmmForward(*pattern, nullptr, xv, ov, cols);
-  if (simd::Enabled()) {
-    simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
-  }
-  if (rec::Recording()) {
-    rec::Record("SpmmCsr", out, {x.node()}, [pattern, xv, ov, cols]() {
-      SpmmForward(*pattern, nullptr, xv, ov, cols);
-    });
-  }
-  AttachBackward(out, {x}, [pattern, cols](TensorNode* o) {
-    TensorNode* xn = o->parents[0].get();
-    if (!xn->requires_grad) return;
-    xn->EnsureGrad();
-    SpmmBackwardX(*pattern, nullptr, o->grad.data(), xn->grad.data(), cols);
-  });
-  return Tensor::FromNode(out);
-}
-
 Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, const Tensor& x) {
-  CheckPattern(pattern, x, "SpmmCsrWeighted");
+  CHECK(pattern != nullptr) << "SpmmCsrWeighted: null CSR pattern";
+  CHECK_EQ(pattern->num_cols, x.rows()) << "SpmmCsrWeighted: pattern/input row mismatch";
   CHECK_EQ(weights.rows(), pattern->num_edges) << "SpmmCsrWeighted: weight vector length";
   CHECK_EQ(weights.cols(), 1);
   const int cols = x.cols();
@@ -192,46 +162,6 @@ Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, cons
       wn->EnsureGrad();
       SpmmBackwardW(*pattern, o->grad.data(), xn->values.data(), wn->grad.data(), cols);
     }
-  });
-  return Tensor::FromNode(out);
-}
-
-Tensor SpmmCsrMean(const CsrPatternRef& pattern, const Tensor& x) {
-  CheckPattern(pattern, x, "SpmmCsrMean");
-  const int cols = x.cols();
-  obs::ScopedSpan span("tensor.SpmmCsr", obs::FlightPolicy::kSkip);
-  RecordSpmmMetrics(*pattern, cols);
-  // Mean = sum with per-nonzero weight 1/degree(row); rows with no nonzeros
-  // keep their zero initialization. The weight vector is indexed by edge id
-  // so the same kernels apply unchanged.
-  auto degree_weights = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(pattern->num_edges), 0.0f);
-  for (int j = 0; j < pattern->num_rows; ++j) {
-    const int begin = pattern->row_ptr[static_cast<size_t>(j)];
-    const int end = pattern->row_ptr[static_cast<size_t>(j) + 1];
-    if (begin == end) continue;
-    const float inv = 1.0f / static_cast<float>(end - begin);
-    for (int k = begin; k < end; ++k) {
-      (*degree_weights)[static_cast<size_t>(pattern->edge_idx[static_cast<size_t>(k)])] = inv;
-    }
-  }
-  auto out = NewNode(pattern->num_rows, cols);
-  const float* xv = x.values().data();
-  float* ov = out->values.data();
-  SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);
-  if (simd::Enabled()) {
-    simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
-  }
-  if (rec::Recording()) {
-    rec::Record("SpmmCsrMean", out, {x.node()}, [pattern, degree_weights, xv, ov, cols]() {
-      SpmmForward(*pattern, degree_weights->data(), xv, ov, cols);
-    });
-  }
-  AttachBackward(out, {x}, [pattern, degree_weights, cols](TensorNode* o) {
-    TensorNode* xn = o->parents[0].get();
-    if (!xn->requires_grad) return;
-    xn->EnsureGrad();
-    SpmmBackwardX(*pattern, degree_weights->data(), o->grad.data(), xn->grad.data(), cols);
   });
   return Tensor::FromNode(out);
 }

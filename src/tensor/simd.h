@@ -33,7 +33,8 @@
 //    the "ulp-bounded" tolerance class of util::proptest. Vectors shorter
 //    than one lane width take the serial fold and are bitwise. Both dot
 //    call sites share this one implementation, so identities that compare
-//    them against each other (fused SpMM vs the legacy chain) stay bitwise.
+//    them against each other (the SpMM kernel vs its chain test oracle) stay
+//    bitwise.
 //
 // Tail handling: every kernel processes floor(n / Lanes()) full vectors and
 // finishes the remainder with the scalar expression. Owner-computes

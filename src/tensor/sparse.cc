@@ -39,7 +39,7 @@ CsrPatternRef BuildCsrPattern(int num_rows, int num_cols, const std::vector<int>
 
   // Stable counting-sort passes in increasing k: entries within each row (and
   // each transpose column) stay in increasing edge order, reproducing the
-  // legacy serial scatter-scan accumulation order bit for bit.
+  // serial scatter-scan accumulation order bit for bit.
   std::vector<int> fill(pattern->row_ptr.begin(), pattern->row_ptr.end() - 1);
   std::vector<int> tfill(pattern->tcol_ptr.begin(), pattern->tcol_ptr.end() - 1);
   for (int k = 0; k < nnz; ++k) {

@@ -1,20 +1,20 @@
 #ifndef REVELIO_TENSOR_SPARSE_H_
 #define REVELIO_TENSOR_SPARSE_H_
 
-// Shared CSR sparsity pattern for the fused SpMM aggregation ops (ops.h).
+// Shared CSR sparsity pattern for the SpMM aggregation kernel (ops.h).
 //
 // A pattern describes a sparse num_rows x num_cols aggregation matrix whose
 // k-th nonzero sits at (rows[k], cols[k]) and draws its value from an
 // external per-edge weight vector at index edge_idx[k]. For GNN aggregation
 // the weight vector is the per-layer-edge coefficient-times-mask vector of
 // the paper's Eq. 6 (or a GAT head's attention coefficients), so masks and
-// attention flow through the same fused kernel.
+// attention flow through the same kernel.
 //
 // The transposed (CSC) view is precomputed alongside the forward CSR so
 // reverse-mode SpMM can partition over *input* rows with the same
 // owner-computes determinism contract as the forward pass. Patterns are
-// immutable after construction and shared by shared_ptr between graphs,
-// layer-edge sets and autograd closures (backward functions capture the ref,
+// immutable after construction and shared by shared_ptr between layer-edge
+// sets and autograd closures (backward functions capture the ref,
 // so a pattern outlives every forward graph built on it).
 
 #include <memory>
@@ -28,8 +28,8 @@ struct CsrPattern {
   int num_edges = 0;  // length of the external weight vector
 
   // Forward CSR, grouped by output row. Entries within a row keep increasing
-  // edge order — the serial scatter-scan order the fused kernels reproduce,
-  // which is what keeps them bitwise-equal to the legacy chain.
+  // edge order — the serial scatter-scan order the SpMM kernel reproduces,
+  // which is what keeps it bitwise-equal to the chain oracle in the tests.
   std::vector<int> row_ptr;   // num_rows + 1
   std::vector<int> col_idx;   // nnz: input row per nonzero
   std::vector<int> edge_idx;  // nnz: weight-vector index per nonzero
@@ -47,7 +47,7 @@ using CsrPatternRef = std::shared_ptr<const CsrPattern>;
 // Builds the pattern (and its transpose) for nonzeros (rows[k], cols[k]),
 // k = 0..rows.size()-1, with weight index k. Counting sort keeps entries in
 // increasing k within every row and every transpose column, matching the
-// accumulation order of the legacy gather/scatter chain bit for bit.
+// accumulation order of the gather/scatter chain bit for bit.
 CsrPatternRef BuildCsrPattern(int num_rows, int num_cols, const std::vector<int>& rows,
                               const std::vector<int>& cols);
 

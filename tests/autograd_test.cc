@@ -171,15 +171,6 @@ TEST_P(GradientSweep, SegmentMaxRows) {
   });
 }
 
-TEST_P(GradientSweep, SegmentMeanRows) {
-  Tensor a = RandomInput(5, 2);
-  const std::vector<int> segments = {0, 1, 1, 0, 2};
-  Tensor weights = Tensor::Randn(3, 2, &rng_);
-  CheckGradient(a, [&](const Tensor& x) {
-    return Sum(Mul(SegmentMeanRows(x, segments, 3), weights));
-  });
-}
-
 TEST_P(GradientSweep, SelectAndNllLoss) {
   Tensor a = RandomInput(3, 3);
   CheckGradient(a, [&](const Tensor& x) { return Select(x, 1, 2); });

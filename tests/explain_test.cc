@@ -331,6 +331,33 @@ TEST_F(ExplainerFixture, FlowXProducesFlowScoresAndShapleyStageSumsToDrop) {
   }
 }
 
+TEST_F(ExplainerFixture, FlowXDivergentLearningRateReturnsStatusNotNanScores) {
+  // A NaN or overflowing learning rate drives the flow masks non-finite. The
+  // explainer must report that as an error instead of returning NaN flow and
+  // edge scores with Ok.
+  const ExplanationTask task = MakeTask(0);
+  for (const float learning_rate : {std::numeric_limits<float>::quiet_NaN(), 1e38f}) {
+    FlowXOptions options;
+    options.shapley_iterations = 2;
+    options.learning_epochs = 20;
+    options.learning_rate = learning_rate;
+    const Explanation result = FlowXExplainer(options).Explain(task, Objective::kFactual);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInternal)
+        << "lr=" << learning_rate << ": " << result.status.ToString();
+    EXPECT_TRUE(result.edge_scores.empty());
+    EXPECT_TRUE(result.flow_scores.empty());
+  }
+  // One epoch: the loss is still finite, only the final Step goes NaN.
+  FlowXOptions one_epoch;
+  one_epoch.shapley_iterations = 2;
+  one_epoch.learning_epochs = 1;
+  one_epoch.learning_rate = std::numeric_limits<float>::quiet_NaN();
+  const Explanation result = FlowXExplainer(one_epoch).Explain(task, Objective::kFactual);
+  EXPECT_EQ(result.status.code(), util::StatusCode::kInternal) << result.status.ToString();
+  EXPECT_TRUE(result.edge_scores.empty());
+  EXPECT_TRUE(result.flow_scores.empty());
+}
+
 TEST_F(ExplainerFixture, SubgraphXKeepsTargetAndScoresEdges) {
   const ExplanationTask task = MakeTask(0);
   SubgraphXOptions options;

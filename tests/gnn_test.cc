@@ -2,6 +2,8 @@
 // behavior, model forward shapes, and a training smoke test per arch.
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,13 +12,49 @@
 #include "gnn/model.h"
 #include "gnn/trainer.h"
 #include "nn/loss.h"
+#include "prop/prop_util.h"
 #include "tensor/ops.h"
+#include "tensor/sparse.h"
 
 namespace revelio::gnn {
 namespace {
 
 using graph::Graph;
 using tensor::Tensor;
+
+// Row v of edges.csr must list exactly the layer edges with dst == v, and
+// transpose column v exactly those with src == v, each in increasing id with
+// SelfLoopOf(v) last. Returns "" on success.
+std::string CheckCsrOrder(const LayerEdgeSet& edges) {
+  const tensor::CsrPattern& p = *edges.csr;
+  if (p.num_rows != edges.num_nodes || p.num_cols != edges.num_nodes ||
+      p.num_edges != edges.num_layer_edges() || p.nnz() != edges.num_layer_edges()) {
+    return "pattern shape does not match the layer-edge set";
+  }
+  for (int v = 0; v < edges.num_nodes; ++v) {
+    std::vector<int> in, out;
+    for (int e = 0; e < edges.num_layer_edges(); ++e) {
+      if (edges.dst[e] == v) in.push_back(e);
+      if (edges.src[e] == v) out.push_back(e);
+    }
+    const std::vector<int> row(p.edge_idx.begin() + p.row_ptr[v],
+                               p.edge_idx.begin() + p.row_ptr[v + 1]);
+    const std::vector<int> column(p.tedge_idx.begin() + p.tcol_ptr[v],
+                                  p.tedge_idx.begin() + p.tcol_ptr[v + 1]);
+    const std::string at = " at node " + std::to_string(v);
+    if (row != in) return "csr row is not the increasing in-edge list" + at;
+    if (column != out) return "transpose column is not the increasing out-edge list" + at;
+    if (row.empty() || row.back() != edges.SelfLoopOf(v)) return "self-loop not last in row" + at;
+    if (column.back() != edges.SelfLoopOf(v)) return "self-loop not last in column" + at;
+    for (int k = p.row_ptr[v]; k < p.row_ptr[v + 1]; ++k) {
+      if (p.col_idx[k] != edges.src[p.edge_idx[k]]) return "col_idx is not the source" + at;
+    }
+    for (int k = p.tcol_ptr[v]; k < p.tcol_ptr[v + 1]; ++k) {
+      if (p.trow_idx[k] != edges.dst[p.tedge_idx[k]]) return "trow_idx is not the target" + at;
+    }
+  }
+  return "";
+}
 
 Graph TriangleGraph() {
   Graph g(3);
@@ -39,7 +77,25 @@ TEST(LayerEdgesTest, BaseEdgesThenSelfLoops) {
     EXPECT_EQ(edges.dst[e], v);
   }
   // Every node of the triangle has 2 in-edges + 1 self-loop.
-  for (int v = 0; v < 3; ++v) EXPECT_EQ(edges.in_layer_edges[v].size(), 3u);
+  EXPECT_EQ(CheckCsrOrder(edges), "");
+  for (int v = 0; v < 3; ++v) {
+    EXPECT_EQ(edges.csr->row_ptr[v + 1] - edges.csr->row_ptr[v], 3);
+  }
+}
+
+TEST(LayerEdgesTest, CsrRowsListLayerEdgesInIncreasingIdSelfLoopLast) {
+  // Flow enumeration walks csr rows, so this order fixes every FlowSet.
+  std::vector<proptest::GraphSpec> specs(2);
+  specs[0].kind = "empty";
+  specs[1].kind = "isolated";  // nodes 0 and 4 touch no edge
+  specs[1].num_nodes = 5;
+  specs[1].edges = {{3, 1}, {1, 2}, {2, 1}, {3, 2}};
+  util::Rng rng(0x1a7e7);
+  for (int i = 0; i < 24; ++i) specs.push_back(proptest::GenGraphSpec(rng, 1, 10));
+  for (const proptest::GraphSpec& spec : specs) {
+    const LayerEdgeSet edges = BuildLayerEdges(proptest::MakeGraph(spec));
+    EXPECT_EQ(CheckCsrOrder(edges), "") << proptest::DescribeGraphSpec(spec);
+  }
 }
 
 TEST(LayerEdgesTest, GcnCoefficientsSymmetricNorm) {

@@ -123,49 +123,24 @@ TEST(GraphTest, SetNumNodesInvalidatesBuiltAdjacency) {
   EXPECT_EQ(g.OutEdges(1).size(), 1u);
 }
 
-TEST(GraphTest, CsrCacheRebuildsAfterMutationAndRemoveEdges) {
-  Graph g(3);
-  g.AddEdge(0, 2);
-  g.AddEdge(1, 2);
-  const tensor::CsrPatternRef before = g.InCsr();
-  ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->nnz(), 2);
-
-  // AddEdge invalidates the cached pattern; the next InCsr() sees the edge.
-  g.AddEdge(2, 0);
-  const tensor::CsrPatternRef after = g.InCsr();
-  EXPECT_EQ(after->nnz(), 3);
-  EXPECT_EQ(before->nnz(), 2) << "callers holding the old ref keep a stable snapshot";
-
-  // RemoveEdges builds a fresh graph whose CSR matches its reduced edge list
-  // and leaves the source's cache untouched.
-  Graph reduced = g.RemoveEdges({0});
-  EXPECT_EQ(reduced.InCsr()->nnz(), 2);
-  EXPECT_EQ(g.InCsr()->nnz(), 3);
-}
-
 // Batched explanation reads one task graph from several threads at once, so
-// the lazy caches must build exactly once under concurrent const readers
-// (the tsan preset runs this race-free; here every reader must see the same
-// cached pattern and complete adjacency).
+// the lazy adjacency cache must build exactly once under concurrent const
+// readers (the tsan preset runs this race-free; here every reader must see
+// the complete adjacency).
 TEST(GraphTest, ConcurrentConstReadersShareOneCache) {
   Graph g(64);
   for (int v = 0; v < 64; ++v) g.AddUndirectedEdge(v, (v + 1) % 64);
-  const Graph copy = g;  // a copy starts cold and builds its own caches
+  const Graph copy = g;  // a copy starts cold and builds its own cache
   for (const Graph* graph : std::vector<const Graph*>{&g, &copy}) {
-    std::vector<const tensor::CsrPattern*> seen(8, nullptr);
     std::vector<std::thread> readers;
     for (int t = 0; t < 8; ++t) {
-      readers.emplace_back([graph, &seen, t] {
-        seen[t] = graph->InCsr().get();
-        EXPECT_EQ(graph->OutCsr()->nnz(), 128);
+      readers.emplace_back([graph, t] {
         EXPECT_EQ(graph->InEdges(t).size(), 2u);
+        EXPECT_EQ(graph->OutEdges(t).size(), 2u);
         EXPECT_TRUE(graph->HasEdge(t, t + 1));
       });
     }
     for (std::thread& reader : readers) reader.join();
-    for (int t = 1; t < 8; ++t) EXPECT_EQ(seen[t], seen[0]);
-    EXPECT_EQ(seen[0]->nnz(), 128);
   }
 }
 

@@ -211,9 +211,9 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
     }
   }
 
-  // Fused SpMM ops: random CSR patterns (with collisions and zero-degree
-  // rows), feature matrix differentiable; the weighted variant also
-  // differentiates the per-edge weight vector.
+  // SpmmCsrWeighted: random CSR patterns (with collisions and zero-degree
+  // rows); both the per-edge weight vector and the feature matrix are
+  // differentiable.
   {
     struct SpmmShape {
       int num_rows, num_cols, num_edges, feat;
@@ -221,49 +221,23 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
     };
     std::vector<SpmmShape> shapes = {{4, 5, 9, 3, true}, {1, 1, 1, 1, true}, {3, 2, 0, 3, true}};
     if (include_large) shapes.push_back({512, 512, 4000, 64, false});
-    auto rand_pattern = [&idx_rng](const SpmmShape& s) {
+    for (const SpmmShape& s : shapes) {
       std::vector<int> rows(s.num_edges);
       std::vector<int> cols(s.num_edges);
       for (int k = 0; k < s.num_edges; ++k) {
         rows[k] = idx_rng.UniformInt(s.num_rows);
         cols[k] = idx_rng.UniformInt(s.num_cols);
       }
-      return tensor::BuildCsrPattern(s.num_rows, s.num_cols, rows, cols);
-    };
-    for (const SpmmShape& s : shapes) {
-      const std::string tag =
-          ShapeTag(s.num_rows, s.num_cols) + "/" + std::to_string(s.num_edges);
-      {
-        tensor::CsrPatternRef pattern = rand_pattern(s);
-        add("SpmmCsr", tag, s.fd,
-            [s](util::Rng& rng) {
-              return std::vector<Tensor>{FillLeaf(rng, s.num_cols, s.feat, Fill::kUniform)};
-            },
-            [pattern](const std::vector<Tensor>& in) {
-              return tensor::SpmmCsr(pattern, in[0]);
-            });
-      }
-      {
-        tensor::CsrPatternRef pattern = rand_pattern(s);
-        add("SpmmCsrWeighted", tag, s.fd,
-            [s](util::Rng& rng) {
-              return std::vector<Tensor>{FillLeaf(rng, s.num_edges, 1, Fill::kUniform),
-                                         FillLeaf(rng, s.num_cols, s.feat, Fill::kUniform)};
-            },
-            [pattern](const std::vector<Tensor>& in) {
-              return tensor::SpmmCsrWeighted(pattern, in[0], in[1]);
-            });
-      }
-      {
-        tensor::CsrPatternRef pattern = rand_pattern(s);
-        add("SpmmCsrMean", tag, s.fd,
-            [s](util::Rng& rng) {
-              return std::vector<Tensor>{FillLeaf(rng, s.num_cols, s.feat, Fill::kUniform)};
-            },
-            [pattern](const std::vector<Tensor>& in) {
-              return tensor::SpmmCsrMean(pattern, in[0]);
-            });
-      }
+      tensor::CsrPatternRef pattern = tensor::BuildCsrPattern(s.num_rows, s.num_cols, rows, cols);
+      add("SpmmCsrWeighted", ShapeTag(s.num_rows, s.num_cols) + "/" + std::to_string(s.num_edges),
+          s.fd,
+          [s](util::Rng& rng) {
+            return std::vector<Tensor>{FillLeaf(rng, s.num_edges, 1, Fill::kUniform),
+                                       FillLeaf(rng, s.num_cols, s.feat, Fill::kUniform)};
+          },
+          [pattern](const std::vector<Tensor>& in) {
+            return tensor::SpmmCsrWeighted(pattern, in[0], in[1]);
+          });
     }
   }
 
@@ -317,20 +291,6 @@ std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large) {
           },
           [ids, s](const std::vector<Tensor>& in) {
             return tensor::SegmentSoftmax(in[0], ids, s.num_segments);
-          });
-    }
-
-    std::vector<SegShape> mean_shapes = {{7, 3, 4, true}, {1, 1, 1, true}, {0, 3, 2, true}};
-    if (include_large) mean_shapes.push_back({4000, 32, 64, false});
-    for (const SegShape& s : mean_shapes) {
-      std::vector<int> ids = RandSegments(idx_rng, s.count, s.num_segments);
-      add("SegmentMeanRows", std::to_string(s.count) + "/" + std::to_string(s.num_segments),
-          s.fd,
-          [s](util::Rng& rng) {
-            return std::vector<Tensor>{FillLeaf(rng, s.count, s.cols, Fill::kUniform)};
-          },
-          [ids, s](const std::vector<Tensor>& in) {
-            return tensor::SegmentMeanRows(in[0], ids, s.num_segments);
           });
     }
 

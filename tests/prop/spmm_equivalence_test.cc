@@ -1,14 +1,13 @@
-// Differential property suite for the fused CSR SpMM aggregation path:
-// the fused kernels (tensor::SpmmCsr*) must reproduce the legacy
-// Gather -> RowScale -> ScatterAdd chain bit for bit — forward AND backward —
-// across seeded graphs, thread counts {1, 2, 7, 16}, and masked/unmasked
-// edge weights. Layer-level cases flip the gnn::SetFusedAggregation toggle on
-// real GCN/GIN/GAT layers (forward bitwise; gradients bitwise where the
-// autograd traversal order is shared, else <= 1e-6 relative). A dedicated
-// group mutates graphs (RemoveEdges / AddEdge) after warming the cached CSR
-// view, so a stale pattern shows up as a fused-vs-chain divergence.
+// Differential property suite for the one aggregation kernel: the weighted
+// CSR SpMM (tensor::SpmmCsrWeighted over LayerEdgeSet::csr) must reproduce
+// the Gather -> RowScale -> ScatterAdd chain — the test oracle — bit for bit,
+// forward AND backward, across seeded graphs, thread counts {1, 2, 7, 16},
+// and masked/unmasked edge weights. A dedicated group mutates graphs
+// (RemoveEdges / AddEdge) and rebuilds the layer edges, so a pattern that
+// missed the mutation shows up as a kernel-vs-chain divergence. The layers
+// themselves are checked against a dense adjacency in dense_reference_test.
 
-#include <cmath>
+#include <functional>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -17,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "gnn/layer_edges.h"
-#include "gnn/layers.h"
 #include "prop/prop_util.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -35,21 +33,7 @@ constexpr int kFeatDim = 5;
 
 class SpmmEquivalenceTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    util::SetNumThreads(1);
-    gnn::SetFusedAggregation(true);
-  }
-};
-
-class FusedModeGuard {
- public:
-  explicit FusedModeGuard(bool enabled) : saved_(gnn::FusedAggregationEnabled()) {
-    gnn::SetFusedAggregation(enabled);
-  }
-  ~FusedModeGuard() { gnn::SetFusedAggregation(saved_); }
-
- private:
-  bool saved_;
+  void TearDown() override { util::SetNumThreads(1); }
 };
 
 bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
@@ -179,207 +163,19 @@ TEST_F(SpmmEquivalenceTest, WeightedFusedMatchesChainBitwise) {
   EXPECT_TRUE(result.ok) << result.report;
 }
 
-TEST_F(SpmmEquivalenceTest, SumAndMeanFusedMatchChainBitwise) {
-  const util::CheckResult result = util::ForAll<EqCase>(
-      "spmm-eq:sum-mean", EqCaseDomain(1, 12, /*allow_empty=*/true),
-      [](const EqCase& c) -> std::string {
-        const graph::Graph g = proptest::MakeGraph(c.spec);
-        const int n = g.num_nodes();
-        std::vector<int> src(g.num_edges());
-        std::vector<int> dst(g.num_edges());
-        for (int e = 0; e < g.num_edges(); ++e) {
-          src[e] = g.edge(e).src;
-          dst[e] = g.edge(e).dst;
-        }
-        // Mean = sum with constant per-edge weight 1/in_degree(dst); zero
-        // in-degree rows never appear as a destination.
-        const std::vector<int> in_degrees = g.InDegrees();
-        std::vector<float> mean_weights(g.num_edges());
-        for (int e = 0; e < g.num_edges(); ++e) {
-          mean_weights[e] = 1.0f / static_cast<float>(in_degrees[dst[e]]);
-        }
-        util::Rng rng(c.seed);
-        std::vector<float> feature_values(static_cast<size_t>(n) * kFeatDim);
-        for (auto& x : feature_values) x = static_cast<float>(rng.Uniform(-2.0, 2.0));
-        const uint64_t loss_seed = c.seed ^ 0x5c5c5c5cULL;
-
-        for (const int threads : kThreadCounts) {
-          util::SetNumThreads(threads);
-          Tensor sum_x = Tensor::FromData(n, kFeatDim, std::vector<float>(feature_values))
-                             .WithRequiresGrad();
-          const std::vector<float> fused_sum = RunToStream(
-              [&] { return tensor::SpmmCsr(g.InCsr(), sum_x); }, {sum_x}, loss_seed);
-          Tensor chain_x = Tensor::FromData(n, kFeatDim, std::vector<float>(feature_values))
-                               .WithRequiresGrad();
-          const std::vector<float> chain_sum = RunToStream(
-              [&] { return tensor::ScatterAddRows(tensor::GatherRows(chain_x, src), dst, n); },
-              {chain_x}, loss_seed);
-          if (!BitwiseEqual(fused_sum, chain_sum)) {
-            return "sum fused vs chain diverges at threads=" + std::to_string(threads);
-          }
-
-          Tensor mean_x = Tensor::FromData(n, kFeatDim, std::vector<float>(feature_values))
-                              .WithRequiresGrad();
-          const std::vector<float> fused_mean = RunToStream(
-              [&] { return tensor::SpmmCsrMean(g.InCsr(), mean_x); }, {mean_x}, loss_seed);
-          Tensor ref_x = Tensor::FromData(n, kFeatDim, std::vector<float>(feature_values))
-                             .WithRequiresGrad();
-          const std::vector<float> chain_mean = RunToStream(
-              [&] {
-                return tensor::ScatterAddRows(
-                    tensor::RowScale(tensor::GatherRows(ref_x, src),
-                                     Tensor::FromVector(mean_weights)),
-                    dst, n);
-              },
-              {ref_x}, loss_seed);
-          if (!BitwiseEqual(fused_mean, chain_mean)) {
-            return "mean fused vs chain diverges at threads=" + std::to_string(threads);
-          }
-        }
-        return "";
-      },
-      util::DefaultPropConfig(140));
-  EXPECT_TRUE(result.ok) << result.report;
-}
-
 // ---------------------------------------------------------------------------
-// Layer-level: real GCN/GIN/GAT under the dispatch toggle
+// Aggregation under graph mutation
 // ---------------------------------------------------------------------------
 
-struct LayerPass {
-  std::vector<float> output;
-  std::vector<std::vector<float>> grads;
-};
-
-LayerPass RunLayerPass(const gnn::GnnLayer& layer, const graph::Graph& g,
-                       const gnn::LayerEdgeSet& edges, Tensor h, const Tensor& mask,
-                       uint64_t loss_seed) {
-  h.ZeroGrad();
-  const std::vector<Tensor> params = layer.Parameters();
-  for (Tensor p : params) p.ZeroGrad();
-  Tensor out = layer.Forward(g, edges, h, mask);
-  util::Rng wrng(loss_seed);
-  Tensor weights = Tensor::Uniform(out.rows(), out.cols(), 0.5f, 1.5f, &wrng);
-  tensor::Sum(tensor::Mul(out, weights)).Backward();
-  LayerPass result;
-  result.output = out.values();
-  result.grads.push_back(h.GradData());
-  for (const Tensor& p : params) result.grads.push_back(p.GradData());
-  return result;
-}
-
-// Forward must be bitwise; gradients may legitimately differ by accumulation
-// order when a tensor feeds several ops (GAT's per-head projection), so they
-// get a 1e-6 relative budget — bitwise equality trivially passes it.
-std::string CompareLayerPasses(const LayerPass& fused, const LayerPass& legacy) {
-  if (!BitwiseEqual(fused.output, legacy.output)) return "forward output not bitwise-equal";
-  if (fused.grads.size() != legacy.grads.size()) return "gradient count mismatch";
-  for (size_t i = 0; i < fused.grads.size(); ++i) {
-    std::vector<float> a = fused.grads[i];
-    std::vector<float> b = legacy.grads[i];
-    if (a.empty()) a.assign(b.size(), 0.0f);
-    if (b.empty()) b.assign(a.size(), 0.0f);
-    if (a.size() != b.size()) return "grad " + std::to_string(i) + " size mismatch";
-    for (size_t k = 0; k < a.size(); ++k) {
-      const double rel = std::fabs(static_cast<double>(a[k]) - b[k]) /
-                         std::max({1.0, std::fabs(static_cast<double>(a[k])),
-                                   std::fabs(static_cast<double>(b[k]))});
-      if (rel > 1e-6) {
-        return "grad " + std::to_string(i) + "[" + std::to_string(k) + "]: fused " +
-               std::to_string(a[k]) + " vs legacy " + std::to_string(b[k]);
-      }
-    }
-  }
-  return "";
-}
-
-std::string CheckLayerFusedVsLegacy(const gnn::GnnLayer& layer, const graph::Graph& g,
-                                    const gnn::LayerEdgeSet& edges, const EqCase& c) {
-  util::Rng rng(c.seed ^ 0xab1e);
-  Tensor h = proptest::RandLeaf(rng, g.num_nodes(), layer.in_dim());
-  Tensor mask;
-  if (c.masked) {
-    std::vector<float> mask_values(edges.num_layer_edges());
-    for (auto& m : mask_values) {
-      m = rng.Bernoulli(0.3) ? 0.0f : static_cast<float>(rng.Uniform(0.2, 1.0));
-    }
-    mask = Tensor::FromData(edges.num_layer_edges(), 1, std::move(mask_values));
-  }
-  const uint64_t loss_seed = c.seed ^ 0x70a57ULL;
-  for (const int threads : kThreadCounts) {
-    util::SetNumThreads(threads);
-    LayerPass fused_pass, legacy_pass;
-    {
-      FusedModeGuard guard(true);
-      fused_pass = RunLayerPass(layer, g, edges, h, mask, loss_seed);
-    }
-    {
-      FusedModeGuard guard(false);
-      legacy_pass = RunLayerPass(layer, g, edges, h, mask, loss_seed);
-    }
-    const std::string failure = CompareLayerPasses(fused_pass, legacy_pass);
-    if (!failure.empty()) return failure + " at threads=" + std::to_string(threads);
-  }
-  return "";
-}
-
-TEST_F(SpmmEquivalenceTest, GcnLayerFusedMatchesLegacy) {
+// Mutate the graph (RemoveEdges -> fresh Graph; AddEdge -> in place), rebuild
+// the layer edges, and require kernel == chain on the mutated topology. A
+// pattern that missed the mutation would keep the old edge set on the kernel
+// side only, so the chain acts as the oracle.
+TEST_F(SpmmEquivalenceTest, AggregationMatchesChainAfterGraphMutation) {
   const util::CheckResult result = util::ForAll<EqCase>(
-      "spmm-eq:gcn", EqCaseDomain(1, 9, /*allow_empty=*/false),
-      [](const EqCase& c) -> std::string {
-        const graph::Graph g = proptest::MakeGraph(c.spec);
-        const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(g);
-        util::Rng layer_rng(c.seed ^ 0x6c6cULL);
-        gnn::GcnLayer layer(kFeatDim, 6, &layer_rng, /*normalize=*/true);
-        return CheckLayerFusedVsLegacy(layer, g, edges, c);
-      },
-      util::DefaultPropConfig(40));
-  EXPECT_TRUE(result.ok) << result.report;
-}
-
-TEST_F(SpmmEquivalenceTest, GinLayerFusedMatchesLegacy) {
-  const util::CheckResult result = util::ForAll<EqCase>(
-      "spmm-eq:gin", EqCaseDomain(1, 9, /*allow_empty=*/false),
-      [](const EqCase& c) -> std::string {
-        const graph::Graph g = proptest::MakeGraph(c.spec);
-        const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(g);
-        util::Rng layer_rng(c.seed ^ 0x9191ULL);
-        gnn::GinLayer layer(kFeatDim, 6, &layer_rng, /*eps=*/0.3f);
-        return CheckLayerFusedVsLegacy(layer, g, edges, c);
-      },
-      util::DefaultPropConfig(40));
-  EXPECT_TRUE(result.ok) << result.report;
-}
-
-TEST_F(SpmmEquivalenceTest, GatLayerFusedMatchesLegacy) {
-  const util::CheckResult result = util::ForAll<EqCase>(
-      "spmm-eq:gat", EqCaseDomain(1, 9, /*allow_empty=*/false),
-      [](const EqCase& c) -> std::string {
-        const graph::Graph g = proptest::MakeGraph(c.spec);
-        const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(g);
-        util::Rng layer_rng(c.seed ^ 0x9a79a7ULL);
-        const bool concat = (c.seed & 1) == 0;
-        gnn::GatLayer layer(kFeatDim, 6, /*num_heads=*/2, concat, &layer_rng);
-        return CheckLayerFusedVsLegacy(layer, g, edges, c);
-      },
-      util::DefaultPropConfig(40));
-  EXPECT_TRUE(result.ok) << result.report;
-}
-
-// ---------------------------------------------------------------------------
-// CSR cache invalidation under graph mutation
-// ---------------------------------------------------------------------------
-
-// Warm the cached CSR view, mutate the graph (RemoveEdges -> fresh Graph;
-// AddEdge -> in-place invalidation), rebuild the layer edges, and require
-// fused == chain on the mutated topology. A stale cached pattern would keep
-// the old edge set on the fused side only, so the chain acts as the oracle.
-TEST_F(SpmmEquivalenceTest, CsrCacheInvalidationAfterGraphMutation) {
-  const util::CheckResult result = util::ForAll<EqCase>(
-      "spmm-eq:cache-invalidation", EqCaseDomain(2, 10, /*allow_empty=*/false),
+      "spmm-eq:graph-mutation", EqCaseDomain(2, 10, /*allow_empty=*/false),
       [](const EqCase& c) -> std::string {
         graph::Graph g = proptest::MakeGraph(c.spec);
-        (void)g.InCsr();  // warm the cache before any mutation
         std::string failure =
             CheckWeightedAggregation(gnn::BuildLayerEdges(g), c.seed, c.masked);
         if (!failure.empty()) return "pre-mutation: " + failure;

@@ -207,14 +207,6 @@ TEST(OpsForwardTest, SegmentSoftmaxNormalizesPerSegment) {
   EXPECT_GT(out.At(1, 0), out.At(0, 0));
 }
 
-TEST(OpsForwardTest, SegmentMeanRows) {
-  Tensor a = Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6});
-  Tensor out = SegmentMeanRows(a, {0, 0, 1}, 2);
-  EXPECT_EQ(out.At(0, 0), 2.0f);
-  EXPECT_EQ(out.At(0, 1), 3.0f);
-  EXPECT_EQ(out.At(1, 0), 5.0f);
-}
-
 TEST(OpsForwardTest, SegmentMaxRows) {
   Tensor a = Tensor::FromData(4, 2, {1, 9, 5, 2, 3, 7, -1, -2});
   Tensor out = SegmentMaxRows(a, {0, 0, 1, 1}, 3);
