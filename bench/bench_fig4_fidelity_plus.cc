@@ -40,8 +40,10 @@ int main(int argc, char** argv) {
           continue;
         }
         auto explainer = eval::MakeExplainer(method, scope.config);
-        eval::TrainAmortized(explainer.get(), prepared, instances,
-                             explain::Objective::kCounterfactual, scope.config);
+        const util::Status trained = eval::TrainAmortized(
+            explainer.get(), prepared, instances, explain::Objective::kCounterfactual,
+            scope.config);
+        CHECK(trained.ok()) << trained.ToString();
         // RunFidelity explains the instances concurrently under --threads;
         // results are identical for any thread count (eval::ExplainAll).
         const auto curve =

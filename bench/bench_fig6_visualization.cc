@@ -33,8 +33,9 @@ void Visualize(const char* title, const eval::PreparedModel& prepared,
   for (const std::string& method : scope.methods) {
     if (!MethodSupportsArch(method, prepared.arch)) continue;
     auto explainer = eval::MakeExplainer(method, scope.config);
-    eval::TrainAmortized(explainer.get(), prepared, instances, explain::Objective::kFactual,
-                         scope.config);
+    const util::Status trained = eval::TrainAmortized(
+        explainer.get(), prepared, instances, explain::Objective::kFactual, scope.config);
+    CHECK(trained.ok()) << trained.ToString();
     const auto scores = explainer->Explain(task, explain::Objective::kFactual).edge_scores;
     const auto order = eval::RankEdges(scores);
     std::string rendered;

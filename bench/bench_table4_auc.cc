@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
           for (auto objective :
                {explain::Objective::kFactual, explain::Objective::kCounterfactual}) {
             auto explainer = eval::MakeExplainer(method, scope.config);
-            eval::TrainAmortized(explainer.get(), prepared, instances, objective,
-                                 scope.config);
+            const util::Status trained = eval::TrainAmortized(
+                explainer.get(), prepared, instances, objective, scope.config);
+            CHECK(trained.ok()) << trained.ToString();
             const double auc = eval::RunAuc(explainer.get(), prepared, instances, objective);
             table.AddRow({explain::ObjectiveName(objective), method, gnn::GnnArchName(arch),
                           dataset, util::TablePrinter::FormatDouble(auc, 3),

@@ -62,8 +62,10 @@ int main(int argc, char** argv) {
       double train_seconds = 0.0;
       if (eval::NeedsAmortizedTraining(*explainer)) {
         obs::ScopedSpan train_span("table5.train_amortized");
-        eval::TrainAmortized(explainer.get(), prepared[d], instances[d],
-                             explain::Objective::kFactual, scope.config);
+        const util::Status trained =
+            eval::TrainAmortized(explainer.get(), prepared[d], instances[d],
+                                 explain::Objective::kFactual, scope.config);
+        CHECK(trained.ok()) << trained.ToString();
         train_seconds = train_span.ElapsedSeconds();
       }
       std::vector<explain::ExplanationTask> tasks;

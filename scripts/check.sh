@@ -12,6 +12,9 @@
 # outputs (plan_equivalence_test), so full-overwrite contract violations
 # surface as NaNs: any vector sweep that over-reads past a tensor's end or
 # reads a stale output as data trips ASan or the bitwise check respectively.
+# All five mask-learning explainers train through one plan-driving loop
+# (explain::LearnMasks), so the plan and tsan-plan stages also run
+# explain_test (plan on/off and divergence cases per method).
 # (UBSan covers the intrinsic wrappers too — simd.cc is in the instrumented
 # smoke set, so misaligned or out-of-range lane arithmetic fails the ubsan
 # stage.)
@@ -85,7 +88,7 @@ if [[ "${FAST}" -eq 0 ]]; then
   # Plan replay again under ASan: replay reruns every kernel in place, so the
   # NaN-prefill test turns a step that skips (or under-writes) an output into
   # a NaN in the bitwise comparison while ASan watches the buffers' bounds.
-  run_stage "plan"        ctest --preset asan -R "plan_equivalence_test|plan_test"
+  run_stage "plan"        ctest --preset asan -R "plan_equivalence_test|plan_test|explain_test"
   # SIMD equivalence under ASan: the vector sweeps must never read past n
   # (the scalar tail owns the remainder), and the NaN-prefill replay test
   # reruns the SIMD kernels over NaN-filled outputs. parallel_test adds
@@ -110,9 +113,10 @@ if [[ "${FAST}" -eq 0 ]]; then
   run_stage "tsan-flight" env REVELIO_FLIGHT_RECORDER=1 ctest --preset tsan -R serve_equivalence_test
   # Plan replay under TSan: level-parallel step execution shares the tape
   # across thread-pool workers, and re-record after invalidation races the global
-  # plan version bump; both must stay clean across thread counts.
-  run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test"
-  run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|dense_reference_test|plan_equivalence_test|plan_test"
+  # plan version bump; both must stay clean across thread counts. explain_test
+  # drives every mask-learning explainer through the same loop.
+  run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test|explain_test"
+  run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|dense_reference_test|plan_equivalence_test|plan_test|explain_test"
 fi
 
 echo

@@ -1,15 +1,12 @@
 #include "core/revelio.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
 
-#include "nn/loss.h"
-#include "nn/optimizer.h"
+#include "explain/mask_learning.h"
 #include "obs/audit.h"
 #include "obs/trace.h"
-#include "plan/plan.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -84,9 +81,7 @@ std::vector<double> InitialFlowSaliency(const ExplanationTask& task,
   std::vector<Tensor> masks =
       BuildLayerEdgeMasks(flows, tensor::Tanh(flow_params), layer_weights, scaling);
   Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
-  Tensor loss = objective == Objective::kFactual
-                    ? nn::FactualObjective(logits, task.logit_row(), task.target_class)
-                    : nn::CounterfactualObjective(logits, task.logit_row(), task.target_class);
+  Tensor loss = explain::ObjectiveLoss(logits, task, objective);
   loss.Backward();
   std::vector<double> saliency(flows.num_flows());
   for (int k = 0; k < flows.num_flows(); ++k) {
@@ -140,22 +135,6 @@ void FinishFlowExplanation(const gnn::LayerEdgeSet& edges, const Tensor& flow_ma
       flow::LayerEdgeScoresToEdgeScores(flows, edges, result->layer_edge_masks);
   result->layer_weights.resize(num_layers);
   for (int l = 0; l < num_layers; ++l) result->layer_weights[l] = layer_weights.At(l, 0);
-}
-
-// Mean binary entropy (nats) of the mask probabilities in omega. Tanh masks live in [-1, 1] and map to p = (v + 1) / 2; p is
-// clamped away from {0, 1} so the entropy stays finite once masks saturate.
-// Audit-only readout: every access is a detached read of trained values.
-double MeanMaskEntropy(const Tensor& omega, bool tanh_masks) {
-  const int rows = omega.rows();
-  if (rows == 0) return 0.0;
-  double total = 0.0;
-  for (int k = 0; k < rows; ++k) {
-    double p = omega.At(k, 0);
-    if (tanh_masks) p = 0.5 * (p + 1.0);
-    p = std::min(1.0 - 1e-12, std::max(1e-12, p));
-    total += -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
-  }
-  return total / static_cast<double>(rows);
 }
 
 void AppendRevelioAuditConfig(obs::AuditRecord* audit, const RevelioOptions& options) {
@@ -223,82 +202,31 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
   flow_mask_params.WithRequiresGrad();
   Tensor layer_weights = Tensor::Zeros(num_layers, 1).WithRequiresGrad();
 
-  nn::Adam optimizer({flow_mask_params, layer_weights}, options_.learning_rate);
-  const int logit_row = task.logit_row();
-
   {
     obs::ScopedSpan optimize_span("revelio.optimize");
-    // Recorded execution plan (DESIGN.md §12): epoch 0 records the op tape
-    // while running eagerly; later epochs replay it (fused + level-parallel,
-    // allocation-free) with bitwise-identical results. Retained handles read
-    // this epoch's values in place after a replay.
-    const bool use_plan = plan::ExecPlanEnabled();
-    plan::PlanSession plan_session;
-    auto make_key = [&] {
-      return plan::PlanKey{{task.graph->structure_version(),
-                            static_cast<uint64_t>(flows.num_flows()),
-                            static_cast<uint64_t>(num_layers),
-                            static_cast<uint64_t>(task.features.rows()),
-                            static_cast<uint64_t>(task.features.cols()),
-                            static_cast<uint64_t>(logit_row),
-                            static_cast<uint64_t>(task.target_class),
-                            static_cast<uint64_t>(objective == Objective::kFactual ? 1 : 0),
-                            static_cast<uint64_t>(options_.use_tanh_flow_masks ? 1 : 0),
-                            static_cast<uint64_t>(options_.layer_scaling)}};
-    };
+    // Shape-stable: every epoch builds the same graph, so LearnMasks records
+    // epoch 0 and replays it (DESIGN.md §12). Retained handles read this
+    // epoch's values in place after a replay.
     Tensor omega_flows;
-    Tensor loss;
-    for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-      optimizer.ZeroGrad();
-      const bool replayed = use_plan && plan_session.Replay(make_key());
-      if (!replayed) {
-        {
-          plan::PlanSession::RecordScope record(use_plan ? &plan_session : nullptr);
+    result.status = explain::LearnMasks(
+        "Revelio", {flow_mask_params, layer_weights}, options_.learning_rate, options_.epochs,
+        /*replayable=*/true,
+        [&](int) {
           omega_flows = options_.use_tanh_flow_masks ? tensor::Tanh(flow_mask_params)
                                                      : tensor::Sigmoid(flow_mask_params);
           std::vector<Tensor> masks =
               BuildLayerEdgeMasks(flows, omega_flows, layer_weights, options_.layer_scaling);
           Tensor logits = model.Run(*task.graph, edges, task.features, masks).logits;
-
-          Tensor objective_loss =
-              objective == Objective::kFactual
-                  ? nn::FactualObjective(logits, logit_row, task.target_class)
-                  : nn::CounterfactualObjective(logits, logit_row, task.target_class);
+          Tensor objective_loss = explain::ObjectiveLoss(logits, task, objective);
           Tensor regularizer = UsedEdgeMean(flows, masks);
           if (objective == Objective::kCounterfactual) {
             // Eq. 9 penalizes mean(1 - omega[E]).
             regularizer = tensor::AddScalar(tensor::Neg(regularizer), 1.0f);
           }
-          loss = tensor::Add(objective_loss, tensor::MulScalar(regularizer, options_.alpha));
-        }
-        loss.Backward();
-        if (use_plan) plan_session.Seal(loss, make_key());
-      }
-      // A diverged objective (e.g. a NaN or huge learning rate) would only
-      // turn into non-finite scores: stop and report it instead.
-      if (!std::isfinite(loss.At(0, 0))) {
-        result.status = util::Status::Internal(
-            "Revelio mask learning diverged: non-finite loss at epoch " + std::to_string(epoch));
-        break;
-      }
-      optimizer.Step();
-      if (obs::AuditRecord* audit = obs::AuditScope::Current()) {
-        audit->loss_curve.push_back(loss.At(0, 0));
-        audit->mask_entropy.push_back(
-            MeanMaskEntropy(omega_flows, options_.use_tanh_flow_masks));
-      }
-      // Eager path: free this epoch's intermediates. The plan path instead
-      // keeps the tape pinned for replay.
-      if (!use_plan) loss.ReleaseTape();
-    }
+          return tensor::Add(objective_loss, tensor::MulScalar(regularizer, options_.alpha));
+        },
+        [&] { return explain::MeanMaskEntropy(omega_flows, options_.use_tanh_flow_masks); });
     obs::AuditScope::AddPhase("optimize", optimize_span.ElapsedSeconds());
-  }
-  // The last Step is not followed by a loss, so check what it left behind.
-  if (result.status.ok()) {
-    if (!explain::AllFinite(flow_mask_params) || !explain::AllFinite(layer_weights)) {
-      result.status = util::Status::Internal(
-          "Revelio mask learning diverged: non-finite masks after the last epoch");
-    }
   }
   if (!result.status.ok()) return result;
 

@@ -242,10 +242,10 @@ bool NeedsAmortizedTraining(const explain::Explainer& explainer) {
   return explainer.name() == "PGExplainer" || explainer.name() == "GraphMask";
 }
 
-void TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared,
-                    const std::vector<EvalInstance>& instances, Objective objective,
-                    const RunnerConfig& config) {
-  if (!NeedsAmortizedTraining(*explainer)) return;
+util::Status TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared,
+                            const std::vector<EvalInstance>& instances, Objective objective,
+                            const RunnerConfig& config) {
+  if (!NeedsAmortizedTraining(*explainer)) return util::Status::Ok();
   obs::ScopedSpan span("eval.TrainAmortized");
   std::vector<ExplanationTask> tasks;
   const int count = std::min<int>(config.pg_train_instances,
@@ -255,10 +255,11 @@ void TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared
     tasks.push_back(instances[i].MakeTask(prepared.model.get()));
   }
   if (auto* pg = dynamic_cast<explain::PgExplainer*>(explainer)) {
-    if (!pg->is_trained(objective)) pg->Train(tasks, objective);
+    if (!pg->is_trained(objective)) return pg->Train(tasks, objective);
   } else if (auto* gm = dynamic_cast<explain::GraphMaskExplainer*>(explainer)) {
-    if (!gm->is_trained(objective)) gm->Train(tasks, objective);
+    if (!gm->is_trained(objective)) return gm->Train(tasks, objective);
   }
+  return util::Status::Ok();
 }
 
 std::vector<explain::Explanation> ExplainAll(explain::Explainer* explainer,
@@ -298,8 +299,10 @@ FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& pr
   FidelityCurve curve;
   curve.sparsities = sparsities;
   curve.values.assign(sparsities.size(), 0.0);
-  TrainAmortized(explainer, prepared, instances, objective,
-                 RunnerConfig{});  // default group size if not pre-trained
+  // Default group size if not pre-trained.
+  const util::Status trained =
+      TrainAmortized(explainer, prepared, instances, objective, RunnerConfig{});
+  CHECK(trained.ok()) << trained.ToString();
   std::vector<ExplanationTask> tasks;
   tasks.reserve(instances.size());
   for (const EvalInstance& instance : instances) {
@@ -328,7 +331,9 @@ FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& pr
 double RunAuc(explain::Explainer* explainer, const PreparedModel& prepared,
               const std::vector<EvalInstance>& instances, Objective objective) {
   obs::ScopedSpan span("eval.RunAuc");
-  TrainAmortized(explainer, prepared, instances, objective, RunnerConfig{});
+  const util::Status trained =
+      TrainAmortized(explainer, prepared, instances, objective, RunnerConfig{});
+  CHECK(trained.ok()) << trained.ToString();
   std::vector<ExplanationTask> tasks;
   std::vector<const EvalInstance*> evaluated_instances;
   for (const EvalInstance& instance : instances) {

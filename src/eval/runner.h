@@ -88,11 +88,13 @@ std::unique_ptr<explain::Explainer> MakeExplainer(const std::string& name,
                                                   const RunnerConfig& config);
 
 // True if the method needs amortized Train() over a task group before
-// Explain (PGExplainer, GraphMask). TrainAmortized is a no-op otherwise.
+// Explain (PGExplainer, GraphMask). TrainAmortized is a no-op otherwise;
+// it returns the method's Train status (a diverged or empty training run
+// leaves the objective untrained).
 bool NeedsAmortizedTraining(const explain::Explainer& explainer);
-void TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared,
-                    const std::vector<EvalInstance>& instances, explain::Objective objective,
-                    const RunnerConfig& config);
+util::Status TrainAmortized(explain::Explainer* explainer, const PreparedModel& prepared,
+                            const std::vector<EvalInstance>& instances,
+                            explain::Objective objective, const RunnerConfig& config);
 
 // --- Protocols -----------------------------------------------------------------
 

@@ -135,11 +135,6 @@ util::Status ValidateExplanationTask(const ExplanationTask& task) {
   return util::Status::Ok();
 }
 
-bool AllFinite(const tensor::Tensor& t) {
-  return std::all_of(t.values().begin(), t.values().end(),
-                     [](float v) { return std::isfinite(v); });
-}
-
 tensor::Tensor CloneFeatures(const ExplanationTask& task) {
   return task.features.Detach();
 }

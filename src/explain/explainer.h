@@ -106,10 +106,6 @@ class Explainer {
 // the method. Degenerate-but-valid tasks (single node, zero edges) pass.
 util::Status ValidateExplanationTask(const ExplanationTask& task);
 
-// True iff every value of `t` is finite. Mask-learning explainers check their
-// mask parameters with it after the last optimizer step.
-bool AllFinite(const tensor::Tensor& t);
-
 // Makes a differentiable clone of the task's feature matrix (leaf).
 tensor::Tensor CloneFeatures(const ExplanationTask& task);
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
+#include "explain/mask_learning.h"
 #include "flow/flow_scores.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -109,52 +108,36 @@ Explanation FlowXExplainer::ExplainImpl(const ExplanationTask& task, Objective o
     init_params[k] = std::atanh(static_cast<float>(initial[k] / (2.0 * max_magnitude)));
   }
   Tensor flow_params = Tensor::FromVector(init_params).WithRequiresGrad();
-  nn::Adam optimizer({flow_params}, options_.learning_rate);
 
   Explanation explanation;
   obs::ScopedSpan learn_span("flowx.learn");
-  for (int epoch = 0; epoch < options_.learning_epochs; ++epoch) {
-    optimizer.ZeroGrad();
-    Tensor omega = tensor::Tanh(flow_params);
-    std::vector<Tensor> masks;
-    masks.reserve(num_layers);
-    Tensor mask_mean;
-    for (int l = 0; l < num_layers; ++l) {
-      Tensor accumulated =
-          tensor::ScatterAddRows(omega, flows.EdgesAtLayer(l), flows.num_layer_edges());
-      Tensor mask = tensor::Sigmoid(accumulated);
-      masks.push_back(mask);
-      const std::vector<int> used = flows.UsedEdgesAtLayer(l);
-      if (!used.empty()) {
-        Tensor layer_mean = tensor::Mean(tensor::GatherRows(mask, used));
-        mask_mean = mask_mean.defined() ? tensor::Add(mask_mean, layer_mean) : layer_mean;
-      }
-    }
-    mask_mean = tensor::MulScalar(mask_mean, 1.0f / num_layers);
-    Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
-    Tensor loss = objective == Objective::kFactual
-                      ? nn::FactualObjective(logits, task.logit_row(), task.target_class)
-                      : nn::CounterfactualObjective(logits, task.logit_row(), task.target_class);
-    if (objective == Objective::kCounterfactual) {
-      mask_mean = tensor::AddScalar(tensor::Neg(mask_mean), 1.0f);
-    }
-    loss = tensor::Add(loss, tensor::MulScalar(mask_mean, options_.alpha));
-    loss.Backward();
-    // A diverged objective (e.g. a huge learning rate) would only turn into
-    // NaN flow scores: stop and report it instead.
-    if (!std::isfinite(loss.At(0, 0))) {
-      explanation.status = util::Status::Internal(
-          "FlowX mask learning diverged: non-finite loss at epoch " + std::to_string(epoch));
-      break;
-    }
-    optimizer.Step();
-    loss.ReleaseTape();
-  }
-  // The last Step is not followed by a loss, so check what it left behind.
-  if (explanation.status.ok() && !AllFinite(flow_params)) {
-    explanation.status = util::Status::Internal(
-        "FlowX mask learning diverged: non-finite flow masks after the last epoch");
-  }
+  // Shape-stable: LearnMasks records epoch 0 and replays it (DESIGN.md §12).
+  explanation.status = LearnMasks(
+      "FlowX", {flow_params}, options_.learning_rate, options_.learning_epochs,
+      /*replayable=*/true, [&](int) {
+        Tensor omega = tensor::Tanh(flow_params);
+        std::vector<Tensor> masks;
+        masks.reserve(num_layers);
+        Tensor mask_mean;
+        for (int l = 0; l < num_layers; ++l) {
+          Tensor accumulated =
+              tensor::ScatterAddRows(omega, flows.EdgesAtLayer(l), flows.num_layer_edges());
+          Tensor mask = tensor::Sigmoid(accumulated);
+          masks.push_back(mask);
+          const std::vector<int> used = flows.UsedEdgesAtLayer(l);
+          if (!used.empty()) {
+            Tensor layer_mean = tensor::Mean(tensor::GatherRows(mask, used));
+            mask_mean = mask_mean.defined() ? tensor::Add(mask_mean, layer_mean) : layer_mean;
+          }
+        }
+        mask_mean = tensor::MulScalar(mask_mean, 1.0f / num_layers);
+        Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
+        Tensor loss = ObjectiveLoss(logits, task, objective);
+        if (objective == Objective::kCounterfactual) {
+          mask_mean = tensor::AddScalar(tensor::Neg(mask_mean), 1.0f);
+        }
+        return tensor::Add(loss, tensor::MulScalar(mask_mean, options_.alpha));
+      });
   if (!explanation.status.ok()) return explanation;
 
   explanation.has_flow_scores = true;

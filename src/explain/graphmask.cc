@@ -1,9 +1,9 @@
 #include "explain/graphmask.h"
 
 #include <numeric>
+#include <string>
 
-#include "nn/loss.h"
-#include "nn/optimizer.h"
+#include "explain/mask_learning.h"
 #include "tensor/ops.h"
 
 namespace revelio::explain {
@@ -37,62 +37,55 @@ std::vector<Tensor> GraphMaskExplainer::LayerMasks(const LayerGates& gates,
     srcs.push_back(edges.src[e]);
     dsts.push_back(edges.dst[e]);
   }
-  std::vector<int> base_indices(edges.num_base_edges);
-  std::iota(base_indices.begin(), base_indices.end(), 0);
-  std::vector<float> self_ones(edges.num_layer_edges(), 0.0f);
-  for (int e = edges.num_base_edges; e < edges.num_layer_edges(); ++e) self_ones[e] = 1.0f;
-
   std::vector<Tensor> masks;
   for (int l = 0; l < task.model->num_layers(); ++l) {
     const Tensor h = forward.embeddings[l].Detach();
     Tensor inputs =
         tensor::ConcatCols(tensor::GatherRows(h, srcs), tensor::GatherRows(h, dsts));
     Tensor gate = tensor::Sigmoid(gates.gate_mlps[l]->Forward(inputs));
-    Tensor expanded = tensor::ScatterAddRows(gate, base_indices, edges.num_layer_edges());
-    masks.push_back(tensor::Add(expanded, Tensor::FromVector(self_ones)));
+    masks.push_back(ExpandBaseEdgeMask(gate, edges));
   }
   return masks;
 }
 
-void GraphMaskExplainer::Train(const std::vector<ExplanationTask>& tasks, Objective objective) {
-  CHECK(!tasks.empty());
+util::Status GraphMaskExplainer::Train(const std::vector<ExplanationTask>& tasks,
+                                       Objective objective) {
+  if (tasks.empty()) return util::Status::InvalidArgument("GraphMask needs tasks to train on");
   util::Rng rng(options_.seed);
   auto gates = std::make_unique<LayerGates>(*tasks[0].model, options_.mlp_hidden, &rng);
-  nn::Adam optimizer(gates->Parameters(), options_.learning_rate);
-
-  for (int epoch = 0; epoch < options_.train_epochs; ++epoch) {
-    for (const ExplanationTask& task : tasks) {
-      const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
-      optimizer.ZeroGrad();
-      std::vector<Tensor> masks = LayerMasks(*gates, task, edges);
-      Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
-      Tensor loss =
-          objective == Objective::kFactual
-              ? nn::FactualObjective(logits, task.logit_row(), task.target_class)
-              : nn::CounterfactualObjective(logits, task.logit_row(), task.target_class);
-      // Sparsity over gate values (base edges only; self-loop slots are 1).
-      Tensor gate_mean;
-      for (const Tensor& mask : masks) {
+  // One step per (epoch, task); the graph changes with the task, so nothing
+  // replays.
+  const int num_tasks = static_cast<int>(tasks.size());
+  gnn::LayerEdgeSet edges;  // the step's task; outlives the step's backward pass
+  util::Status status = LearnMasks(
+      "GraphMask", gates->Parameters(), options_.learning_rate, options_.train_epochs * num_tasks,
+      /*replayable=*/false, [&](int step) {
+        const ExplanationTask& task = tasks[step % num_tasks];
+        edges = gnn::BuildLayerEdges(*task.graph);
+        std::vector<Tensor> masks = LayerMasks(*gates, task, edges);
+        Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
+        Tensor loss = ObjectiveLoss(logits, task, objective);
+        // Sparsity over gate values (base edges only; self-loop slots are 1).
         std::vector<int> base_indices(edges.num_base_edges);
         std::iota(base_indices.begin(), base_indices.end(), 0);
-        Tensor base_part = tensor::Mean(tensor::GatherRows(mask, base_indices));
-        gate_mean = gate_mean.defined() ? tensor::Add(gate_mean, base_part) : base_part;
-      }
-      gate_mean = tensor::MulScalar(gate_mean, 1.0f / task.model->num_layers());
-      if (objective == Objective::kCounterfactual) {
-        gate_mean = tensor::AddScalar(tensor::Neg(gate_mean), 1.0f);
-      }
-      loss = tensor::Add(loss, tensor::MulScalar(gate_mean, options_.sparsity_penalty));
-      loss.Backward();
-      optimizer.Step();
-      loss.ReleaseTape();
-    }
-  }
+        Tensor gate_mean;
+        for (const Tensor& mask : masks) {
+          Tensor base_part = tensor::Mean(tensor::GatherRows(mask, base_indices));
+          gate_mean = gate_mean.defined() ? tensor::Add(gate_mean, base_part) : base_part;
+        }
+        gate_mean = tensor::MulScalar(gate_mean, 1.0f / task.model->num_layers());
+        if (objective == Objective::kCounterfactual) {
+          gate_mean = tensor::AddScalar(tensor::Neg(gate_mean), 1.0f);
+        }
+        return tensor::Add(loss, tensor::MulScalar(gate_mean, options_.sparsity_penalty));
+      });
+  if (!status.ok()) return status;
   if (objective == Objective::kFactual) {
     factual_gates_ = std::move(gates);
   } else {
     counterfactual_gates_ = std::move(gates);
   }
+  return util::Status::Ok();
 }
 
 bool GraphMaskExplainer::is_trained(Objective objective) const {
@@ -103,11 +96,16 @@ bool GraphMaskExplainer::is_trained(Objective objective) const {
 Explanation GraphMaskExplainer::ExplainImpl(const ExplanationTask& task, Objective objective) {
   const LayerGates* gates =
       objective == Objective::kFactual ? factual_gates_.get() : counterfactual_gates_.get();
-  CHECK(gates != nullptr) << "GraphMaskExplainer::Train must run before Explain";
+  Explanation explanation;
+  if (gates == nullptr) {
+    explanation.status = util::Status::FailedPrecondition(
+        std::string("GraphMask has no trained ") + ObjectiveName(objective) +
+        " gates: Train must succeed before Explain");
+    return explanation;
+  }
   const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
   const std::vector<Tensor> masks = LayerMasks(*gates, task, edges);
 
-  Explanation explanation;
   explanation.edge_scores.assign(edges.num_base_edges, 0.0);
   for (int e = 0; e < edges.num_base_edges; ++e) {
     double total = 0.0;

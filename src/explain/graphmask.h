@@ -33,7 +33,11 @@ class GraphMaskExplainer : public Explainer {
   std::string name() const override { return "GraphMask"; }
   bool supports_counterfactual() const override { return true; }
 
-  void Train(const std::vector<ExplanationTask>& tasks, Objective objective);
+  // Amortized training over a group of instances, one set of gates per
+  // objective; must succeed before Explain, which otherwise answers
+  // FailedPrecondition. Returns InvalidArgument for no tasks and Internal
+  // when training diverges (the objective then stays untrained).
+  util::Status Train(const std::vector<ExplanationTask>& tasks, Objective objective);
   bool is_trained(Objective objective) const;
 
   Explanation ExplainImpl(const ExplanationTask& task, Objective objective) override;

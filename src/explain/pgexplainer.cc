@@ -1,9 +1,8 @@
 #include "explain/pgexplainer.h"
 
-#include <numeric>
+#include <string>
 
-#include "nn/loss.h"
-#include "nn/optimizer.h"
+#include "explain/mask_learning.h"
 #include "tensor/ops.h"
 #include "util/timer.h"
 
@@ -14,7 +13,9 @@ using tensor::Tensor;
 struct PgExplainer::GateNet : public nn::Module {
   GateNet(int embedding_dim, int hidden, bool node_task, util::Rng* rng)
       : conditions_on_target(node_task),
-        mlp({embedding_dim * (node_task ? 3 : 2), hidden, 1}, rng) {}
+        mlp({embedding_dim * (node_task ? 3 : 2), hidden, 1}, rng) {
+    RegisterChild(&mlp);
+  }
 
   bool conditions_on_target;
   nn::Mlp mlp;
@@ -47,43 +48,32 @@ tensor::Tensor PgExplainer::EdgeLogits(const GateNet& net, const ExplanationTask
   return net.mlp.Forward(inputs);
 }
 
-void PgExplainer::Train(const std::vector<ExplanationTask>& tasks, Objective objective) {
-  CHECK(!tasks.empty());
+util::Status PgExplainer::Train(const std::vector<ExplanationTask>& tasks, Objective objective) {
+  if (tasks.empty()) return util::Status::InvalidArgument("PGExplainer needs tasks to train on");
   util::Timer timer;
   util::Rng rng(options_.seed);
   const int embedding_dim = tasks[0].model->config().hidden_dim;
   auto net = std::make_unique<GateNet>(embedding_dim, options_.mlp_hidden,
                                        tasks[0].is_node_task(), &rng);
-  nn::Adam optimizer(net->Parameters(), options_.learning_rate);
-
-  for (int epoch = 0; epoch < options_.train_epochs; ++epoch) {
-    for (const ExplanationTask& task : tasks) {
-      const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
-      optimizer.ZeroGrad();
-      Tensor gate = tensor::Sigmoid(EdgeLogits(*net, task, edges));
-      // Expand to layer edges with self-loops kept at 1.
-      std::vector<int> base_indices(edges.num_base_edges);
-      std::iota(base_indices.begin(), base_indices.end(), 0);
-      Tensor expanded = tensor::ScatterAddRows(gate, base_indices, edges.num_layer_edges());
-      std::vector<float> self_ones(edges.num_layer_edges(), 0.0f);
-      for (int e = edges.num_base_edges; e < edges.num_layer_edges(); ++e) self_ones[e] = 1.0f;
-      Tensor layer_mask = tensor::Add(expanded, Tensor::FromVector(self_ones));
-      std::vector<Tensor> masks(task.model->num_layers(), layer_mask);
-      Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
-
-      Tensor loss =
-          objective == Objective::kFactual
-              ? nn::FactualObjective(logits, task.logit_row(), task.target_class)
-              : nn::CounterfactualObjective(logits, task.logit_row(), task.target_class);
-      Tensor size_term = objective == Objective::kFactual
-                             ? tensor::Mean(gate)
-                             : tensor::Mean(tensor::AddScalar(tensor::Neg(gate), 1.0f));
-      loss = tensor::Add(loss, tensor::MulScalar(size_term, options_.size_penalty));
-      loss.Backward();
-      optimizer.Step();
-      loss.ReleaseTape();
-    }
-  }
+  // One step per (epoch, task); the graph changes with the task, so nothing
+  // replays.
+  const int num_tasks = static_cast<int>(tasks.size());
+  gnn::LayerEdgeSet edges;  // the step's task; outlives the step's backward pass
+  util::Status status = LearnMasks(
+      "PGExplainer", net->Parameters(), options_.learning_rate, options_.train_epochs * num_tasks,
+      /*replayable=*/false, [&](int step) {
+        const ExplanationTask& task = tasks[step % num_tasks];
+        edges = gnn::BuildLayerEdges(*task.graph);
+        Tensor gate = tensor::Sigmoid(EdgeLogits(*net, task, edges));
+        std::vector<Tensor> masks(task.model->num_layers(), ExpandBaseEdgeMask(gate, edges));
+        Tensor logits = task.model->Run(*task.graph, edges, task.features, masks).logits;
+        Tensor loss = ObjectiveLoss(logits, task, objective);
+        Tensor size_term = objective == Objective::kFactual
+                               ? tensor::Mean(gate)
+                               : tensor::Mean(tensor::AddScalar(tensor::Neg(gate), 1.0f));
+        return tensor::Add(loss, tensor::MulScalar(size_term, options_.size_penalty));
+      });
+  if (!status.ok()) return status;
   if (objective == Objective::kFactual) {
     factual_net_ = std::move(net);
     factual_train_seconds_ = timer.ElapsedSeconds();
@@ -91,6 +81,7 @@ void PgExplainer::Train(const std::vector<ExplanationTask>& tasks, Objective obj
     counterfactual_net_ = std::move(net);
     counterfactual_train_seconds_ = timer.ElapsedSeconds();
   }
+  return util::Status::Ok();
 }
 
 bool PgExplainer::is_trained(Objective objective) const {
@@ -106,10 +97,15 @@ double PgExplainer::last_train_seconds(Objective objective) const {
 Explanation PgExplainer::ExplainImpl(const ExplanationTask& task, Objective objective) {
   const GateNet* net =
       objective == Objective::kFactual ? factual_net_.get() : counterfactual_net_.get();
-  CHECK(net != nullptr) << "PgExplainer::Train must run before Explain";
+  Explanation explanation;
+  if (net == nullptr) {
+    explanation.status = util::Status::FailedPrecondition(
+        std::string("PGExplainer has no trained ") + ObjectiveName(objective) +
+        " gate network: Train must succeed before Explain");
+    return explanation;
+  }
   const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
   Tensor gate = tensor::Sigmoid(EdgeLogits(*net, task, edges));
-  Explanation explanation;
   explanation.edge_scores.resize(edges.num_base_edges);
   for (int e = 0; e < edges.num_base_edges; ++e) {
     const double value = gate.At(e, 0);

@@ -33,9 +33,12 @@ class PgExplainer : public Explainer {
   std::string name() const override { return "PGExplainer"; }
   bool supports_counterfactual() const override { return true; }
 
-  // Amortized training over a group of instances; must be called before
-  // Explain. Objectives are trained separately (one gate MLP each).
-  void Train(const std::vector<ExplanationTask>& tasks, Objective objective);
+  // Amortized training over a group of instances; must succeed before
+  // Explain, which otherwise answers FailedPrecondition. Objectives are
+  // trained separately (one gate MLP each). Returns InvalidArgument for no
+  // tasks and Internal when training diverges (the objective then stays
+  // untrained).
+  util::Status Train(const std::vector<ExplanationTask>& tasks, Objective objective);
 
   bool is_trained(Objective objective) const;
   double last_train_seconds(Objective objective) const;

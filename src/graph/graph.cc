@@ -1,20 +1,10 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <unordered_set>
 
 namespace revelio::graph {
-
-namespace internal {
-
-uint64_t NextGraphStructureVersion() {
-  static std::atomic<uint64_t> counter(0);
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace internal
 
 void Graph::set_num_nodes(int n) {
   CHECK_GE(n, num_nodes_);
@@ -23,7 +13,6 @@ void Graph::set_num_nodes(int n) {
   // them marked built would make InEdges/OutEdges on the new nodes index
   // out of bounds (and miss rebuilds after later AddEdge calls).
   caches_.Reset();
-  structure_version_ = internal::NextGraphStructureVersion();
 }
 
 int Graph::AddEdge(int src, int dst) {
@@ -32,7 +21,6 @@ int Graph::AddEdge(int src, int dst) {
   CHECK_NE(src, dst) << "self-loops are not stored in the base graph";
   edges_.push_back({src, dst});
   caches_.Reset();
-  structure_version_ = internal::NextGraphStructureVersion();
   return static_cast<int>(edges_.size()) - 1;
 }
 

@@ -8,7 +8,6 @@
 // edge list never contains self-loops; models that need them (GCN/GIN/GAT)
 // work on the augmented LayerEdgeSet built by gnn::BuildLayerEdges.
 
-#include <cstdint>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -26,11 +25,6 @@ struct Edge {
 
 inline bool operator==(const Edge& a, const Edge& b) { return a.src == b.src && a.dst == b.dst; }
 
-namespace internal {
-// Next value of the process-wide graph structure stamp (atomic, starts at 1).
-uint64_t NextGraphStructureVersion();
-}  // namespace internal
-
 class Graph {
  public:
   Graph() = default;
@@ -40,12 +34,6 @@ class Graph {
   int num_edges() const { return static_cast<int>(edges_.size()); }
   const std::vector<Edge>& edges() const { return edges_; }
   const Edge& edge(int e) const { return edges_[e]; }
-
-  // Process-unique stamp advanced by every structural mutation (AddEdge,
-  // set_num_nodes) — and therefore fresh on a RemoveEdges result, which is
-  // rebuilt edge by edge. Recorded execution plans key on it (DESIGN.md
-  // §12), so a mutated or rebuilt graph can never replay a stale plan.
-  uint64_t structure_version() const { return structure_version_; }
 
   // Grows the node set (and invalidates the adjacency cache: the in/out
   // edge lists are sized to the node count).
@@ -87,7 +75,6 @@ class Graph {
 
   int num_nodes_ = 0;
   std::vector<Edge> edges_;
-  uint64_t structure_version_ = internal::NextGraphStructureVersion();
 
   // Lazily-built in/out edge lists. Const readers may run concurrently
   // (batched explanation shares one task graph across threads), so the

@@ -130,12 +130,11 @@ PlanSession::RecordScope::~RecordScope() {
   if (installed_) tensor::rec::SetActiveTape(previous_);
 }
 
-void PlanSession::Seal(const tensor::Tensor& root, PlanKey key) {
+void PlanSession::Seal(const tensor::Tensor& root) {
   CHECK(root.defined());
   CHECK(tensor::rec::ActiveTape() != &tape_) << "Seal inside this session's RecordScope";
   obs::ScopedSpan span("plan.seal", obs::FlightPolicy::kSkip);
   root_ = root;
-  key_ = std::move(key);
   global_version_ = GlobalPlanVersion();
   plan_ = BuildPlan(&tape_);
   backward_order_.clear();
@@ -154,9 +153,9 @@ void PlanSession::Seal(const tensor::Tensor& root, PlanKey key) {
   fused->Add(static_cast<uint64_t>(plan_->fused_ops()));
 }
 
-bool PlanSession::Replay(const PlanKey& key) {
+bool PlanSession::Replay() {
   if (plan_ == nullptr) return false;
-  if (global_version_ != GlobalPlanVersion() || key != key_) {
+  if (global_version_ != GlobalPlanVersion()) {
     static obs::Counter* invalidations =
         obs::MetricsRegistry::Global().GetCounter("plan.invalidations");
     invalidations->Increment();

@@ -14,12 +14,16 @@
 // Tensor::Backward would compute — so a replayed epoch is bitwise-identical
 // to an eager one at any thread count.
 //
+// The one training loop that records and replays plans is
+// explain::LearnMasks (explain/mask_learning.h); a session lives for one
+// LearnMasks call, i.e. for one explanation, so the graph, shapes and flow
+// set it recorded cannot change under it.
+//
 // Toggle: REVELIO_EXEC_PLAN=0 (env) or SetExecPlanEnabled(false) makes the
 // training loops run fully eager — the legacy path, bitwise-identical
 // results.
 //
-// Re-record triggers: a PlanKey mismatch (graph structure version, shapes,
-// flow counts) or a BumpGlobalPlanVersion() call (fault injection, global
+// Re-record trigger: a BumpGlobalPlanVersion() call (fault injection, global
 // invalidation) makes Replay() return false after discarding the stale
 // plan; the caller then records a fresh epoch.
 
@@ -41,16 +45,6 @@ void SetExecPlanEnabled(bool enabled);
 // cross-cutting invalidation (e.g. registry reloads) use.
 uint64_t GlobalPlanVersion();
 void BumpGlobalPlanVersion();
-
-// Everything a recorded plan depends on besides the tape itself: graph
-// structure versions, tensor shapes, flow/mask counts, objective. Callers
-// build one per training loop; any change forces a re-record.
-struct PlanKey {
-  std::vector<uint64_t> parts;
-
-  friend bool operator==(const PlanKey& a, const PlanKey& b) { return a.parts == b.parts; }
-  friend bool operator!=(const PlanKey& a, const PlanKey& b) { return !(a == b); }
-};
 
 // One executable unit: a single tape op, or a fused run of consecutive
 // same-extent elementwise ops executed as one parallel sweep.
@@ -88,12 +82,11 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 // Owns one training loop's recorded tape, compiled plan, and cached backward
 // order. Usage per epoch:
 //
-//   if (use_plan && session.Replay(MakeKey())) { /* replayed */ }
-//   else {
+//   if (!use_plan || !session.Replay()) {
 //     { PlanSession::RecordScope record(use_plan ? &session : nullptr);
 //       loss = BuildForward(); }
 //     loss.Backward();
-//     if (use_plan) session.Seal(loss, MakeKey());
+//     if (use_plan) session.Seal(loss);
 //   }
 //
 // Not thread-safe; one session per loop, used from one thread at a time.
@@ -121,14 +114,14 @@ class PlanSession {
   };
 
   // Compiles the recorded tape against `root` (the scalar loss) and caches
-  // the backward order. `key` is the validity stamp for future Replay calls.
-  void Seal(const tensor::Tensor& root, PlanKey key);
+  // the backward order.
+  void Seal(const tensor::Tensor& root);
 
   // Re-executes the sealed plan (forward by level, then the cached backward
   // order) and returns true. Returns false — after discarding the stale
-  // plan — when no plan is sealed, the key changed, or the global plan
-  // version moved; the caller must re-record.
-  bool Replay(const PlanKey& key);
+  // plan — when no plan is sealed or the global plan version moved since
+  // the seal; the caller must re-record.
+  bool Replay();
 
   // Drops the plan, tape, and cached orders, severing the retained autograd
   // tape so intermediates are freed.
@@ -142,7 +135,6 @@ class PlanSession {
   tensor::rec::OpTape tape_;
   std::unique_ptr<Plan> plan_;
   tensor::Tensor root_;
-  PlanKey key_;
   uint64_t global_version_ = 0;
   // Backward order cached at seal (post-order; run in reverse), and the
   // subset with backward_fns whose grads are zeroed before each replay.

@@ -20,6 +20,7 @@
 #include "gnn/trainer.h"
 #include "graph/subgraph.h"
 #include "nn/loss.h"
+#include "obs/metrics.h"
 #include "plan/plan.h"
 
 namespace revelio::explain {
@@ -223,13 +224,39 @@ TEST_F(ExplainerFixture, GnnExplainerDivergentLearningRateReturnsStatusNotNanSco
   EXPECT_TRUE(result.edge_scores.empty());
 }
 
+TEST_F(ExplainerFixture, GnnExplainerZeroEdgeTaskReturnsEmptyScores) {
+  // A lone node passes validation but has no edge mask to learn.
+  const graph::Graph lone(1);
+  ExplanationTask task;
+  task.model = state_->model.get();
+  task.graph = &lone;
+  task.features = tensor::Tensor::Zeros(1, 4);
+  task.target_node = 0;
+  ASSERT_TRUE(ValidateExplanationTask(task).ok());
+  GnnExplainerOptions options;
+  options.epochs = 5;
+  for (Objective objective : {Objective::kFactual, Objective::kCounterfactual}) {
+    const Explanation result = GnnExplainerMethod(options).Explain(task, objective);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_TRUE(result.edge_scores.empty());
+  }
+}
+
 TEST_F(ExplainerFixture, PgExplainerRequiresTrainingThenExplains) {
   PgExplainerOptions options;
   options.train_epochs = 4;
   PgExplainer explainer(options);
   EXPECT_FALSE(explainer.is_trained(Objective::kFactual));
   std::vector<ExplanationTask> tasks = {MakeTask(0), MakeTask(1)};
-  explainer.Train(tasks, Objective::kFactual);
+  // Untrained, or trained on nothing: a status, not an abort.
+  const Explanation untrained = explainer.Explain(tasks[0], Objective::kFactual);
+  EXPECT_EQ(untrained.status.code(), util::StatusCode::kFailedPrecondition)
+      << untrained.status.ToString();
+  EXPECT_TRUE(untrained.edge_scores.empty());
+  EXPECT_EQ(explainer.Train({}, Objective::kFactual).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(explainer.is_trained(Objective::kFactual));
+
+  ASSERT_TRUE(explainer.Train(tasks, Objective::kFactual).ok());
   EXPECT_TRUE(explainer.is_trained(Objective::kFactual));
   EXPECT_FALSE(explainer.is_trained(Objective::kCounterfactual));
   EXPECT_GT(explainer.last_train_seconds(Objective::kFactual), 0.0);
@@ -237,17 +264,55 @@ TEST_F(ExplainerFixture, PgExplainerRequiresTrainingThenExplains) {
   EXPECT_EQ(static_cast<int>(result.edge_scores.size()), tasks[0].graph->num_edges());
 }
 
+TEST_F(ExplainerFixture, PgExplainerDivergentLearningRateFailsTraining) {
+  PgExplainerOptions options;
+  options.train_epochs = 3;
+  options.learning_rate = std::numeric_limits<float>::quiet_NaN();
+  PgExplainer explainer(options);
+  const std::vector<ExplanationTask> tasks = {MakeTask(0), MakeTask(1)};
+  const util::Status trained = explainer.Train(tasks, Objective::kFactual);
+  EXPECT_EQ(trained.code(), util::StatusCode::kInternal) << trained.ToString();
+  EXPECT_FALSE(explainer.is_trained(Objective::kFactual));
+  EXPECT_EQ(explainer.Explain(tasks[0], Objective::kFactual).status.code(),
+            util::StatusCode::kFailedPrecondition);
+}
+
 TEST_F(ExplainerFixture, GraphMaskTrainsPerObjective) {
   GraphMaskOptions options;
   options.train_epochs = 3;
   GraphMaskExplainer explainer(options);
   std::vector<ExplanationTask> tasks = {MakeTask(0)};
-  explainer.Train(tasks, Objective::kCounterfactual);
+  EXPECT_EQ(explainer.Explain(tasks[0], Objective::kCounterfactual).status.code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(explainer.Train({}, Objective::kCounterfactual).code(),
+            util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(explainer.Train(tasks, Objective::kCounterfactual).ok());
   EXPECT_TRUE(explainer.is_trained(Objective::kCounterfactual));
+  EXPECT_FALSE(explainer.is_trained(Objective::kFactual));
   const Explanation result = explainer.Explain(tasks[0], Objective::kCounterfactual);
   for (double s : result.edge_scores) {
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
+  }
+}
+
+TEST_F(ExplainerFixture, GraphMaskDivergentLearningRateReturnsStatusNotNanScores) {
+  // A NaN or overflowing learning rate drives the gates non-finite. Training
+  // must fail with a status and leave the objective untrained, so Explain
+  // answers FailedPrecondition instead of NaN scores with Ok.
+  const std::vector<ExplanationTask> tasks = {MakeTask(0), MakeTask(1)};
+  for (const float learning_rate : {std::numeric_limits<float>::quiet_NaN(), 1e38f}) {
+    GraphMaskOptions options;
+    options.train_epochs = 3;
+    options.learning_rate = learning_rate;
+    GraphMaskExplainer explainer(options);
+    const util::Status trained = explainer.Train(tasks, Objective::kFactual);
+    EXPECT_EQ(trained.code(), util::StatusCode::kInternal)
+        << "lr=" << learning_rate << ": " << trained.ToString();
+    EXPECT_FALSE(explainer.is_trained(Objective::kFactual));
+    const Explanation result = explainer.Explain(tasks[0], Objective::kFactual);
+    EXPECT_FALSE(result.status.ok()) << "lr=" << learning_rate;
+    for (double s : result.edge_scores) EXPECT_TRUE(std::isfinite(s)) << "lr=" << learning_rate;
   }
 }
 
@@ -336,17 +401,22 @@ TEST_F(ExplainerFixture, FlowXDivergentLearningRateReturnsStatusNotNanScores) {
   // explainer must report that as an error instead of returning NaN flow and
   // edge scores with Ok.
   const ExplanationTask task = MakeTask(0);
+  const bool plan_default = plan::ExecPlanEnabled();
   for (const float learning_rate : {std::numeric_limits<float>::quiet_NaN(), 1e38f}) {
-    FlowXOptions options;
-    options.shapley_iterations = 2;
-    options.learning_epochs = 20;
-    options.learning_rate = learning_rate;
-    const Explanation result = FlowXExplainer(options).Explain(task, Objective::kFactual);
-    EXPECT_EQ(result.status.code(), util::StatusCode::kInternal)
-        << "lr=" << learning_rate << ": " << result.status.ToString();
-    EXPECT_TRUE(result.edge_scores.empty());
-    EXPECT_TRUE(result.flow_scores.empty());
+    for (const bool use_plan : {true, false}) {
+      plan::SetExecPlanEnabled(use_plan);
+      FlowXOptions options;
+      options.shapley_iterations = 2;
+      options.learning_epochs = 20;
+      options.learning_rate = learning_rate;
+      const Explanation result = FlowXExplainer(options).Explain(task, Objective::kFactual);
+      EXPECT_EQ(result.status.code(), util::StatusCode::kInternal)
+          << "lr=" << learning_rate << " plan=" << use_plan << ": " << result.status.ToString();
+      EXPECT_TRUE(result.edge_scores.empty());
+      EXPECT_TRUE(result.flow_scores.empty());
+    }
   }
+  plan::SetExecPlanEnabled(plan_default);
   // One epoch: the loss is still finite, only the final Step goes NaN.
   FlowXOptions one_epoch;
   one_epoch.shapley_iterations = 2;
@@ -356,6 +426,38 @@ TEST_F(ExplainerFixture, FlowXDivergentLearningRateReturnsStatusNotNanScores) {
   EXPECT_EQ(result.status.code(), util::StatusCode::kInternal) << result.status.ToString();
   EXPECT_TRUE(result.edge_scores.empty());
   EXPECT_TRUE(result.flow_scores.empty());
+}
+
+TEST_F(ExplainerFixture, FlowXPlanReplayMatchesEagerBitwise) {
+  // FlowX's learning loop is shape-stable, so it records epoch 0 and replays
+  // the rest; the scores must equal the fully eager loop bit for bit.
+  const bool plan_default = plan::ExecPlanEnabled();
+  obs::SetEnabled(true);
+  obs::Counter* replays = obs::MetricsRegistry::Global().GetCounter("plan.replays");
+  FlowXOptions options;
+  options.shapley_iterations = 2;
+  options.learning_epochs = 12;
+  for (int index : {0, 1}) {
+    const ExplanationTask task = MakeTask(index);
+    for (Objective objective : {Objective::kFactual, Objective::kCounterfactual}) {
+      plan::SetExecPlanEnabled(false);
+      const Explanation eager = FlowXExplainer(options).Explain(task, objective);
+      plan::SetExecPlanEnabled(true);
+      const uint64_t replays_before = replays->Total();
+      const Explanation replayed = FlowXExplainer(options).Explain(task, objective);
+      EXPECT_EQ(replays->Total(), replays_before + options.learning_epochs - 1)
+          << "every epoch after the first must replay";
+      ASSERT_TRUE(eager.status.ok()) << eager.status.ToString();
+      ASSERT_TRUE(replayed.status.ok()) << replayed.status.ToString();
+      ASSERT_FALSE(eager.edge_scores.empty());
+      EXPECT_EQ(replayed.edge_scores, eager.edge_scores)
+          << "task " << index << " " << ObjectiveName(objective);
+      EXPECT_EQ(replayed.flow_scores, eager.flow_scores)
+          << "task " << index << " " << ObjectiveName(objective);
+    }
+  }
+  obs::SetEnabled(false);
+  plan::SetExecPlanEnabled(plan_default);
 }
 
 TEST_F(ExplainerFixture, SubgraphXKeepsTargetAndScoresEdges) {

@@ -74,36 +74,7 @@ TEST(GraphTest, RemoveNoEdgesIsIdentity) {
   EXPECT_EQ(same.num_edges(), g.num_edges());
 }
 
-// --- Structure versions and cache invalidation (DESIGN.md §12) -------------
-// Recorded execution plans key on structure_version(); these tests pin the
-// stamping rules the plan keys depend on.
-
-TEST(GraphTest, StructureVersionIsProcessUniqueAndBumpedByMutation) {
-  Graph a(3);
-  Graph b(3);
-  EXPECT_NE(a.structure_version(), b.structure_version())
-      << "distinct graphs must never share a stamp, even with equal shape";
-
-  const uint64_t before_edge = a.structure_version();
-  a.AddEdge(0, 1);
-  const uint64_t after_edge = a.structure_version();
-  EXPECT_NE(after_edge, before_edge);
-
-  a.set_num_nodes(5);
-  EXPECT_NE(a.structure_version(), after_edge);
-}
-
-TEST(GraphTest, RemoveEdgesResultCarriesFreshStructureVersion) {
-  Graph g = MakePathGraph(5);
-  const uint64_t original = g.structure_version();
-  Graph reduced = g.RemoveEdges({1});
-  EXPECT_NE(reduced.structure_version(), original)
-      << "a rebuilt graph replaying a plan keyed on the original would be stale";
-  EXPECT_EQ(g.structure_version(), original) << "the source graph is untouched";
-  // Even a no-op removal yields a new stamp: the result is a distinct object
-  // whose caches start cold.
-  EXPECT_NE(g.RemoveEdges({}).structure_version(), original);
-}
+// --- Cache invalidation ----------------------------------------------------
 
 // Regression mirroring the PR 4 dirty-heap case at the adjacency layer:
 // a lazily-built cache consulted after a structural mutation must reflect

@@ -1,6 +1,6 @@
 // Unit tests for the recorded-execution-plan subsystem (src/plan): tape
 // recording, plan compilation (fusion, levels), PlanSession replay
-// semantics (key mismatch, global version bump, stable buffers), and the
+// semantics (global version bump, stable buffers), and the
 // plan.* observability counters. The whole-loop differential proof lives in
 // tests/prop/plan_equivalence_test.cc; these tests pin the mechanism.
 
@@ -61,7 +61,7 @@ TEST_F(PlanTest, RecordScopeCapturesOpsAndSealCompiles) {
   loss.Backward();
 
   const uint64_t records_before = CounterTotal("plan.records");
-  session.Seal(loss, plan::PlanKey{{7}});
+  session.Seal(loss);
   ASSERT_TRUE(session.sealed());
   EXPECT_EQ(CounterTotal("plan.records"), records_before + 1);
 
@@ -85,13 +85,13 @@ TEST_F(PlanTest, ReplayRecomputesValuesAndGradsInPlace) {
     loss = BuildChain(x);
   }
   loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1}});
+  session.Seal(loss);
 
   // Mutate the leaf, replay, and compare against a fresh eager rebuild.
   for (float& v : *x.mutable_values()) v *= 0.75f;
   x.ZeroGrad();
   const uint64_t replays_before = CounterTotal("plan.replays");
-  ASSERT_TRUE(session.Replay(plan::PlanKey{{1}}));
+  ASSERT_TRUE(session.Replay());
   EXPECT_EQ(CounterTotal("plan.replays"), replays_before + 1);
 
   Tensor ref = Tensor::FromData(x.rows(), x.cols(), x.values()).WithRequiresGrad();
@@ -116,7 +116,7 @@ TEST_F(PlanTest, ReplayKeepsEveryOpOutputBuffer) {
     loss = BuildChain(x);
   }
   loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1}});
+  session.Seal(loss);
 
   auto buffers = [&session] {
     std::vector<std::pair<const float*, const float*>> addresses;
@@ -128,36 +128,9 @@ TEST_F(PlanTest, ReplayKeepsEveryOpOutputBuffer) {
   const auto sealed = buffers();
   for (int i = 0; i < 5; ++i) {
     x.ZeroGrad();
-    ASSERT_TRUE(session.Replay(plan::PlanKey{{1}}));
+    ASSERT_TRUE(session.Replay());
     EXPECT_EQ(buffers(), sealed) << "replay " << i << " moved an op output's values or grad";
   }
-}
-
-TEST_F(PlanTest, KeyMismatchInvalidatesAndForcesReRecord) {
-  util::Rng rng(5);
-  Tensor x = Tensor::Uniform(3, 3, -1.0f, 1.0f, &rng).WithRequiresGrad();
-  plan::PlanSession session;
-  Tensor loss;
-  {
-    plan::PlanSession::RecordScope record(&session);
-    loss = BuildChain(x);
-  }
-  loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1, 2}});
-  ASSERT_TRUE(session.Replay(plan::PlanKey{{1, 2}}));
-
-  const uint64_t invalidations_before = CounterTotal("plan.invalidations");
-  EXPECT_FALSE(session.Replay(plan::PlanKey{{1, 3}}));
-  EXPECT_FALSE(session.sealed());
-  EXPECT_EQ(CounterTotal("plan.invalidations"), invalidations_before + 1);
-  // A fresh record/seal under the new key brings the session back.
-  {
-    plan::PlanSession::RecordScope record(&session);
-    loss = BuildChain(x);
-  }
-  loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1, 3}});
-  EXPECT_TRUE(session.Replay(plan::PlanKey{{1, 3}}));
 }
 
 TEST_F(PlanTest, GlobalVersionBumpInvalidatesSealedPlans) {
@@ -170,17 +143,17 @@ TEST_F(PlanTest, GlobalVersionBumpInvalidatesSealedPlans) {
     loss = BuildChain(x);
   }
   loss.Backward();
-  session.Seal(loss, plan::PlanKey{{1}});
-  ASSERT_TRUE(session.Replay(plan::PlanKey{{1}}));
+  session.Seal(loss);
+  ASSERT_TRUE(session.Replay());
 
   plan::BumpGlobalPlanVersion();
-  EXPECT_FALSE(session.Replay(plan::PlanKey{{1}}));
+  EXPECT_FALSE(session.Replay());
   EXPECT_FALSE(session.sealed());
 }
 
 TEST_F(PlanTest, ReplayOnUnsealedSessionReturnsFalse) {
   plan::PlanSession session;
-  EXPECT_FALSE(session.Replay(plan::PlanKey{{1}}));
+  EXPECT_FALSE(session.Replay());
   EXPECT_FALSE(session.sealed());
 }
 

@@ -176,7 +176,6 @@ TEST(PlanCoverageTest, EveryOpCaseReplaysBitwiseEqualAfterValueMutation) {
     util::Rng rng(value_seed);
     std::vector<Tensor> inputs = c.make_inputs(rng);
     plan::PlanSession session;
-    const plan::PlanKey key{{value_seed}};
     Tensor y;
     Tensor loss;
     {
@@ -185,12 +184,12 @@ TEST(PlanCoverageTest, EveryOpCaseReplaysBitwiseEqualAfterValueMutation) {
       loss = tensor::Sum(y);
     }
     loss.Backward();
-    session.Seal(loss, key);
+    session.Seal(loss);
     ASSERT_TRUE(session.sealed());
 
     MutateLeaves(&inputs);
     for (Tensor& t : inputs) t.ZeroGrad();
-    ASSERT_TRUE(session.Replay(key));
+    ASSERT_TRUE(session.Replay());
 
     // Eager reference: identical leaf values, fresh graph.
     util::Rng ref_rng(value_seed);
@@ -207,7 +206,7 @@ TEST(PlanCoverageTest, EveryOpCaseReplaysBitwiseEqualAfterValueMutation) {
     // Replay is idempotent at fixed inputs.
     const std::vector<float> first = y.values();
     for (Tensor& t : inputs) t.ZeroGrad();
-    ASSERT_TRUE(session.Replay(key));
+    ASSERT_TRUE(session.Replay());
     ExpectBitwiseEqual(y.values(), first, "second replay");
     ExpectBitwiseEqual(LeafGrads(inputs), LeafGrads(ref_inputs), "second replay gradients");
 

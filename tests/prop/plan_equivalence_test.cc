@@ -5,7 +5,7 @@
 // harness trains full mini-GNN explanations both ways and compares every
 // score; the validity suite checks the structural properties every compiled
 // plan must satisfy (topological step order and levels, stable buffers,
-// key/shape changes forcing a re-record) over randomly generated tensor
+// a global version bump forcing a re-record) over randomly generated tensor
 // programs via util::proptest.
 
 #include <algorithm>
@@ -256,7 +256,7 @@ TEST_F(PlanEquivalenceTest, FusedReplayEqualsEagerCounterfactual) {
 }
 
 // Property with shrinking over random graph families: GNNExplainer with
-// plans on equals plans off bitwise on every graph that has a mask to learn.
+// plans on equals plans off bitwise on every graph, edgeless ones included.
 TEST_F(PlanEquivalenceTest, ReplayEqualsEagerOnRandomGraphs) {
   util::SetNumThreads(1);
   const util::Domain<GraphSpec> domain = GraphDomain(3, 8, /*allow_empty=*/false);
@@ -264,7 +264,6 @@ TEST_F(PlanEquivalenceTest, ReplayEqualsEagerOnRandomGraphs) {
       "plan_replay_equals_eager", domain,
       [](const GraphSpec& spec) -> std::string {
         const graph::Graph graph = MakeGraph(spec);
-        if (graph.num_edges() == 0) return "";  // no mask to learn
         util::Rng rng(kSeed + 100);
         TaskData data;
         data.graph = graph;
@@ -374,7 +373,7 @@ TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidLevels) {
             Tensor::Uniform(spec.rows, spec.cols, -1.0f, 1.0f, &param_rng).WithRequiresGrad();
         Tensor loss = RecordProgram(spec, param, &session);
         loss.Backward();
-        session.Seal(loss, plan::PlanKey{{spec.seed}});
+        session.Seal(loss);
 
         const plan::Plan* plan = session.plan();
         if (plan == nullptr) return "no plan sealed";
@@ -439,13 +438,13 @@ TEST_F(PlanEquivalenceTest, SessionReplayMatchesEagerRebuildBitwise) {
           plan::PlanSession session;
           Tensor planned_loss;
           for (int epoch = 0; epoch < 4; ++epoch) {
-            const bool replayed = session.Replay(plan::PlanKey{{spec.seed}});
+            const bool replayed = session.Replay();
             if (epoch == 0 && replayed) return "replayed before any seal";
             if (epoch > 0 && !replayed) return "sealed plan failed to replay";
             if (!replayed) {
               planned_loss = RecordProgram(spec, planned_param, &session);
               planned_loss.Backward();
-              session.Seal(planned_loss, plan::PlanKey{{spec.seed}});
+              session.Seal(planned_loss);
             }
             Tensor eager_loss = RecordProgram(spec, eager_param, nullptr);
             eager_loss.Backward();
@@ -502,7 +501,6 @@ TEST_F(PlanEquivalenceTest, FullOverwriteContractHoldsUnderNanPrefill) {
       util::Rng rng(value_seed);
       std::vector<Tensor> inputs = c.make_inputs(rng);
       plan::PlanSession session;
-      const plan::PlanKey key{{value_seed}};
       Tensor output;
       Tensor loss;
       {
@@ -511,13 +509,13 @@ TEST_F(PlanEquivalenceTest, FullOverwriteContractHoldsUnderNanPrefill) {
         loss = OpCaseLoss(output, value_seed);
       }
       if (loss.requires_grad()) loss.Backward();
-      session.Seal(loss, key);
+      session.Seal(loss);
       for (const auto& op : session.tape().ops) {
         std::fill(op.out->values.begin(), op.out->values.end(), nan);
         std::fill(op.out->grad.begin(), op.out->grad.end(), nan);
       }
       for (Tensor& t : inputs) t.ZeroGrad();
-      ASSERT_TRUE(session.Replay(key));
+      ASSERT_TRUE(session.Replay());
       const std::vector<float> replayed = OpCaseBitstream(output, loss, inputs);
       EXPECT_TRUE(replayed.size() == eager.size() &&
                   (eager.empty() || std::memcmp(replayed.data(), eager.data(),
@@ -528,9 +526,9 @@ TEST_F(PlanEquivalenceTest, FullOverwriteContractHoldsUnderNanPrefill) {
   }
 }
 
-// Key and global-version changes force a re-record; a matching key replays
-// in place, in the buffers recorded at seal.
-TEST_F(PlanEquivalenceTest, ShapeChangeAndVersionBumpForceReRecord) {
+// A sealed plan replays in place, in the buffers recorded at seal, until a
+// global version bump forces a re-record.
+TEST_F(PlanEquivalenceTest, ReplayKeepsBuffersUntilVersionBumpForcesReRecord) {
   util::SetNumThreads(1);
   ProgramSpec spec;
   spec.rows = 4;
@@ -545,35 +543,26 @@ TEST_F(PlanEquivalenceTest, ShapeChangeAndVersionBumpForceReRecord) {
       Tensor::Uniform(spec.rows, spec.cols, -1.0f, 1.0f, &param_rng).WithRequiresGrad();
   Tensor loss = RecordProgram(spec, param, &session);
   loss.Backward();
-  session.Seal(loss, plan::PlanKey{{spec.seed, 4, 3}});
+  session.Seal(loss);
   ASSERT_TRUE(session.sealed());
 
-  // Matching key: replays, and every op output keeps its buffers.
+  // Replays, and every op output keeps its buffers.
   const std::vector<BufferAddresses> recorded = TapeBufferAddresses(session.tape());
   for (int replay = 0; replay < 5; ++replay) {
-    EXPECT_TRUE(session.Replay(plan::PlanKey{{spec.seed, 4, 3}}));
+    EXPECT_TRUE(session.Replay());
     EXPECT_EQ(TapeBufferAddresses(session.tape()), recorded)
         << "replay " << replay << " moved an op output's values or grad";
   }
 
-  // Shape change (different key): replay refuses and drops the plan.
-  EXPECT_FALSE(session.Replay(plan::PlanKey{{spec.seed, 5, 3}}));
-  EXPECT_FALSE(session.sealed());
-
-  // Re-record, then a global version bump also forces a re-record.
-  loss = RecordProgram(spec, param, &session);
-  loss.Backward();
-  session.Seal(loss, plan::PlanKey{{spec.seed, 4, 3}});
-  EXPECT_TRUE(session.Replay(plan::PlanKey{{spec.seed, 4, 3}}));
+  // A global version bump makes the next replay refuse and drop the plan.
   plan::BumpGlobalPlanVersion();
-  EXPECT_FALSE(session.Replay(plan::PlanKey{{spec.seed, 4, 3}}));
+  EXPECT_FALSE(session.Replay());
   EXPECT_FALSE(session.sealed());
 }
 
-// A graph mutation between explanations changes the structure version and
-// therefore the plan key — the second run must re-record against the new
-// topology, not replay the stale plan. Mirrors the PR 4 dirty-heap case at
-// the plan layer.
+// Each Explain owns a fresh plan session, so a graph mutated between two
+// explanations is recorded anew: the second run must follow the new
+// topology, not a stale plan.
 TEST_F(PlanEquivalenceTest, GraphMutationBetweenRunsReRecords) {
   util::SetNumThreads(1);
   gnn::GnnModel model(ModelConfig());
@@ -585,13 +574,11 @@ TEST_F(PlanEquivalenceTest, GraphMutationBetweenRunsReRecords) {
   const explain::ExplanationTask before = data.MakeTask(&model);
   const explain::Explanation first = explainer.Explain(before, explain::Objective::kFactual);
 
-  // Mutate: add one edge. Plans keyed on the old structure version must not
-  // survive; the new run must match a fully eager run on the mutated graph.
-  const uint64_t version_before = data.graph.structure_version();
+  // Mutate: add one edge. The new run must match a fully eager run on the
+  // mutated graph.
   int u = 0, v = 2;
   while (data.graph.HasEdge(u, v)) v = (v + 1) % data.graph.num_nodes();
   data.graph.AddEdge(u, v);
-  EXPECT_NE(data.graph.structure_version(), version_before);
 
   const explain::ExplanationTask after = data.MakeTask(&model);
   const explain::Explanation mutated = explainer.Explain(after, explain::Objective::kFactual);

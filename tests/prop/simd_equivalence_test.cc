@@ -167,12 +167,12 @@ TEST_F(SimdEquivalenceTest, PlanReplayHonorsRuntimeSimdToggle) {
       planned_loss = BuildProgram(planned_param, mixer);
     }
     planned_loss.Backward();
-    session.Seal(planned_loss, plan::PlanKey{{kSeed}});
+    session.Seal(planned_loss);
     planned_param.ZeroGrad();
 
     // Flip the toggle and replay; eager reference at the replay-time setting.
     tensor::simd::SetEnabled(replay_simd);
-    ASSERT_TRUE(session.Replay(plan::PlanKey{{kSeed}}));
+    ASSERT_TRUE(session.Replay());
     util::Rng eager_rng(kSeed + 7);
     Tensor eager_param = Tensor::Uniform(5, 7, -1.0f, 1.0f, &eager_rng).WithRequiresGrad();
     const Tensor eager_mixer = Tensor::Uniform(7, 3, -1.0f, 1.0f, &eager_rng);
