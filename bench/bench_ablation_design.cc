@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     options.layer_scaling = variant.scaling;
     core::RevelioExplainer revelio(options);
     const double auc =
-        eval::RunAuc(&revelio, prepared, instances, explain::Objective::kFactual);
+        eval::RunAuc(&revelio, prepared, instances, explain::Objective::kFactual).mean_auc;
     core::RevelioExplainer revelio_fidelity(options);
     const auto curve = eval::RunFidelity(&revelio_fidelity, prepared, instances,
                                          explain::Objective::kFactual, {0.7});

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     core::RevelioExplainer revelio(options);
     util::Timer timer;
     const double auc =
-        eval::RunAuc(&revelio, prepared, instances, explain::Objective::kFactual);
+        eval::RunAuc(&revelio, prepared, instances, explain::Objective::kFactual).mean_auc;
     const double seconds =
         instances.empty() ? 0.0 : timer.ElapsedSeconds() / instances.size();
     table.AddRow({k == 0 ? "all" : std::to_string(k),

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   PrintScope("fig3", scope);
 
   util::TablePrinter table({"Dataset", "Model", "Method", "s=0.5", "s=0.6", "s=0.7", "s=0.8",
-                            "s=0.9", "#inst"});
+                            "s=0.9", "#inst", "#failed"});
   for (const std::string& dataset : scope.datasets) {
     for (gnn::GnnArch arch : scope.archs) {
       if (!eval::ArchSupportsDataset(arch, dataset)) continue;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       for (const std::string& method : scope.methods) {
         if (!MethodSupportsArch(method, arch)) {
           table.AddRow({dataset, gnn::GnnArchName(arch), method, "N/A", "N/A", "N/A", "N/A",
-                        "N/A", "0"});
+                        "N/A", "0", "0"});
           continue;
         }
         auto explainer = eval::MakeExplainer(method, scope.config);
@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
         std::vector<std::string> row{dataset, gnn::GnnArchName(arch), method};
         for (double v : curve.values) row.push_back(util::TablePrinter::FormatDouble(v, 3));
         row.push_back(std::to_string(curve.instances_evaluated));
+        row.push_back(std::to_string(curve.instances_failed));
         table.AddRow(std::move(row));
         LOG_INFO << dataset << "/" << gnn::GnnArchName(arch) << " " << method << " done";
       }

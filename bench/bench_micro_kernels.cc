@@ -2,19 +2,14 @@
 // on: matmul, message-passing gather/scatter, flow enumeration, the Eq. 5/7
 // mask transformation, and a full masked GNN forward pass.
 //
-// Before the registered benchmarks run, main() sweeps the worker-thread count
-// (1/2/4/8) over the three parallel hot paths — 512^3 matmul, scatter-add,
-// and a batched Revelio explain — and writes machine-readable timings plus a
-// bitwise-equality check against the 1-thread run to BENCH_parallel.json.
+// Before the registered benchmarks run, main() times the fused CSR SpMM
+// aggregation against its Gather -> RowScale -> ScatterAdd chain oracle
+// across three sizes and writes BENCH_spmm.json (with a bitwise
+// fused-vs-chain output check). `--quick` runs only that sweep at reduced
+// sizes — the mode the bench-regression ctest uses — and `--spmm-out FILE`
+// overrides its output path.
 //
-// A second sweep times the fused CSR SpMM aggregation against its
-// Gather -> RowScale -> ScatterAdd chain oracle at 1 thread across three sizes and
-// writes BENCH_spmm.json (with a bitwise fused-vs-chain output check).
-// `--quick` runs only that sweep at reduced sizes — the mode the
-// bench-regression ctest uses — and `--spmm-out FILE` overrides its output
-// path.
-//
-// A third sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
+// A second sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
 // loops against the SIMD tier (tensor/simd.h) at 1 thread — interleaved
 // min-of-N over elementwise/matmul/SpMM. `--simd-out FILE` overrides its
 // output path.
@@ -30,11 +25,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/revelio.h"
-#include "eval/runner.h"
 #include "flow/message_flow.h"
 #include "gnn/model.h"
-#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/sparse.h"
@@ -182,235 +174,6 @@ void BM_SpmmCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmCsr)->Arg(1024)->Arg(8192);
 
-// --- Thread-count sweep (BENCH_parallel.json) --------------------------------
-
-struct SweepPoint {
-  int threads = 1;
-  double seconds = 0.0;
-  bool bitwise_equal = true;  // vs the 1-thread run of the same kernel
-};
-
-struct SweepResult {
-  std::string kernel;
-  std::vector<SweepPoint> points;
-};
-
-constexpr int kSweepThreads[] = {1, 2, 4, 8};
-
-// Times `run` at each thread count. `run` returns a fingerprint vector that
-// must match the 1-thread run bitwise (the determinism contract).
-template <typename Fn>
-SweepResult SweepKernel(const std::string& kernel, Fn run) {
-  SweepResult result;
-  result.kernel = kernel;
-  std::vector<float> reference;
-  for (int threads : kSweepThreads) {
-    util::SetNumThreads(threads);
-    util::Timer timer;
-    std::vector<float> fingerprint = run();
-    SweepPoint point;
-    point.threads = threads;
-    point.seconds = timer.ElapsedSeconds();
-    if (threads == 1) {
-      reference = std::move(fingerprint);
-    } else {
-      point.bitwise_equal = fingerprint == reference;
-    }
-    result.points.push_back(point);
-  }
-  util::SetNumThreads(1);
-  return result;
-}
-
-SweepResult SweepMatMul() {
-  util::Rng rng(11);
-  const int n = 512;
-  tensor::Tensor a = tensor::Tensor::Randn(n, n, &rng);
-  tensor::Tensor b = tensor::Tensor::Randn(n, n, &rng);
-  return SweepKernel("matmul_512", [&] {
-    tensor::Tensor c = tensor::MatMul(a, b);
-    return c.values();
-  });
-}
-
-SweepResult SweepScatterAdd() {
-  util::Rng rng(12);
-  const int edges = 1 << 17;
-  const int nodes = 1 << 15;
-  const int dim = 64;
-  tensor::Tensor messages = tensor::Tensor::Randn(edges, dim, &rng);
-  std::vector<int> dst(edges);
-  for (int e = 0; e < edges; ++e) dst[e] = rng.UniformInt(nodes);
-  return SweepKernel("scatter_add_128k", [&] {
-    tensor::Tensor out = tensor::ScatterAddRows(messages, dst, nodes);
-    return out.values();
-  });
-}
-
-SweepResult SweepRevelioExplain() {
-  // A batch of small random graphs explained through eval::ExplainAll, the
-  // same path the evaluation harness parallelizes per instance. The model is
-  // untrained (runtime does not depend on the weights) but must be frozen so
-  // concurrent backward passes skip the shared weight nodes.
-  util::Rng rng(13);
-  gnn::GnnConfig config;
-  config.arch = gnn::GnnArch::kGcn;
-  config.input_dim = 16;
-  config.hidden_dim = 32;
-  config.num_classes = 4;
-  gnn::GnnModel model(config);
-  model.Freeze();
-
-  const int batch = 8;
-  const int nodes = 36;
-  std::vector<graph::Graph> graphs;
-  std::vector<tensor::Tensor> features;
-  graphs.reserve(batch);
-  features.reserve(batch);
-  for (int i = 0; i < batch; ++i) {
-    graph::Graph g(nodes);
-    for (int v = 1; v < nodes; ++v) g.AddUndirectedEdge(v, rng.UniformInt(v));
-    graphs.push_back(std::move(g));
-    features.push_back(tensor::Tensor::Randn(nodes, config.input_dim, &rng));
-  }
-  std::vector<explain::ExplanationTask> tasks(batch);
-  for (int i = 0; i < batch; ++i) {
-    tasks[i].model = &model;
-    tasks[i].graph = &graphs[i];
-    tasks[i].features = features[i];
-    tasks[i].target_node = 0;
-    tasks[i].target_class = 0;
-  }
-
-  core::RevelioOptions options;
-  options.epochs = 12;
-  core::RevelioExplainer explainer(options);
-  return SweepKernel("revelio_explain_batch8", [&] {
-    const std::vector<explain::Explanation> explanations =
-        eval::ExplainAll(&explainer, tasks, explain::Objective::kFactual);
-    std::vector<float> fingerprint;
-    for (const auto& e : explanations) {
-      for (double s : e.edge_scores) fingerprint.push_back(static_cast<float>(s));
-    }
-    return fingerprint;
-  });
-}
-
-// Instrumentation overhead on the matmul hot path: the same 256^3 matmul
-// timed with telemetry disabled and enabled. The disabled path must stay
-// within the DESIGN.md §7 budget (<= 2% slowdown vs the uninstrumented
-// kernel; disabled-mode cost is one relaxed load + branch per metric site).
-struct OverheadResult {
-  double disabled_seconds = 0.0;
-  double enabled_seconds = 0.0;
-  double overhead_pct = 0.0;  // enabled vs disabled
-};
-
-OverheadResult MeasureTelemetryOverhead() {
-  const bool was_enabled = obs::Enabled();
-  util::Rng rng(14);
-  const int n = 256;
-  const int reps = 6;
-  tensor::Tensor a = tensor::Tensor::Randn(n, n, &rng);
-  tensor::Tensor b = tensor::Tensor::Randn(n, n, &rng);
-  auto time_reps = [&] {
-    util::Timer timer;
-    for (int r = 0; r < reps; ++r) {
-      tensor::Tensor c = tensor::MatMul(a, b);
-      benchmark::DoNotOptimize(c);
-    }
-    return timer.ElapsedSeconds();
-  };
-  // Interleave the two modes and keep the best trial of each: min-of-trials
-  // cancels the scheduler/frequency noise that dominates a single timed run
-  // on a loaded (or single-core) host.
-  constexpr int kTrials = 5;
-  OverheadResult result;
-  result.disabled_seconds = std::numeric_limits<double>::infinity();
-  result.enabled_seconds = std::numeric_limits<double>::infinity();
-  obs::SetEnabled(false);
-  (void)time_reps();  // warm up caches and the thread pool
-  for (int trial = 0; trial < kTrials; ++trial) {
-    obs::SetEnabled(false);
-    result.disabled_seconds = std::min(result.disabled_seconds, time_reps());
-    obs::SetEnabled(true);
-    result.enabled_seconds = std::min(result.enabled_seconds, time_reps());
-  }
-  obs::SetEnabled(was_enabled);
-  if (result.disabled_seconds > 0.0) {
-    result.overhead_pct =
-        100.0 * (result.enabled_seconds / result.disabled_seconds - 1.0);
-  }
-  return result;
-}
-
-void WriteSweepJson(const std::vector<SweepResult>& results, const OverheadResult& overhead,
-                    const char* path) {
-  bench::WriteBenchJson(path, "micro_kernels", [&](obs::JsonWriter* w) {
-    w->BeginObject();
-    w->Key("kernels");
-    w->BeginArray();
-    for (const SweepResult& r : results) {
-      const double base = r.points.empty() ? 0.0 : r.points[0].seconds;
-      w->BeginObject();
-      w->Key("kernel");
-      w->String(r.kernel);
-      w->Key("points");
-      w->BeginArray();
-      for (const SweepPoint& p : r.points) {
-        w->BeginObject();
-        w->Key("threads");
-        w->Int(p.threads);
-        w->Key("seconds");
-        w->Double(p.seconds);
-        w->Key("speedup_vs_1");
-        w->Double(p.seconds > 0.0 ? base / p.seconds : 0.0);
-        w->Key("bitwise_equal_vs_1thread");
-        w->Bool(p.bitwise_equal);
-        w->EndObject();
-      }
-      w->EndArray();
-      w->EndObject();
-    }
-    w->EndArray();
-    w->Key("telemetry_overhead");
-    w->BeginObject();
-    w->Key("kernel");
-    w->String("matmul_256_x6");
-    w->Key("disabled_seconds");
-    w->Double(overhead.disabled_seconds);
-    w->Key("enabled_seconds");
-    w->Double(overhead.enabled_seconds);
-    w->Key("overhead_pct");
-    w->Double(overhead.overhead_pct);
-    w->EndObject();
-    w->EndObject();
-  });
-}
-
-void RunThreadSweep() {
-  std::printf("== thread-count sweep (writes BENCH_parallel.json) ==\n");
-  std::vector<SweepResult> results;
-  results.push_back(SweepMatMul());
-  results.push_back(SweepScatterAdd());
-  results.push_back(SweepRevelioExplain());
-  for (const SweepResult& r : results) {
-    const double base = r.points[0].seconds;
-    for (const SweepPoint& p : r.points) {
-      std::printf("%-24s threads=%d  %8.4fs  speedup=%5.2fx  bitwise_equal=%s\n",
-                  r.kernel.c_str(), p.threads, p.seconds,
-                  p.seconds > 0.0 ? base / p.seconds : 0.0,
-                  p.bitwise_equal ? "yes" : "NO");
-    }
-  }
-  const OverheadResult overhead = MeasureTelemetryOverhead();
-  std::printf("telemetry overhead (matmul 256^3 x6): disabled %.4fs, enabled %.4fs (%+.2f%%)\n",
-              overhead.disabled_seconds, overhead.enabled_seconds, overhead.overhead_pct);
-  WriteSweepJson(results, overhead, "BENCH_parallel.json");
-  std::printf("hardware threads: %d (speedups are bounded by physical cores)\n\n",
-              util::HardwareThreads());
-}
-
 // --- Fused SpMM vs chain oracle sweep (BENCH_spmm.json) ----------------------
 
 struct SpmmPoint {
@@ -425,9 +188,8 @@ struct SpmmPoint {
 
 // Times the fused SpmmCsrWeighted forward against the
 // Gather -> RowScale -> ScatterAdd chain oracle on 1 thread (the paths are
-// bitwise-equal, so the comparison is pure kernel cost; thread scaling is
-// covered by the thread sweep above). Min-of-5 trials per path, repetitions
-// sized so each trial is long enough to time.
+// bitwise-equal, so the comparison is pure kernel cost). Min-of-5 trials
+// per path, repetitions sized so each trial is long enough to time.
 std::vector<SpmmPoint> RunSpmmSweep(bool quick) {
   util::SetNumThreads(1);
   struct Size {
@@ -697,7 +459,6 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
     return 0;
   }
-  RunThreadSweep();
   RunSpmmSweepAndReport(/*quick=*/false, spmm_out);
   RunSimdSweepAndReport(/*quick=*/false, simd_out);
   benchmark::RunSpecifiedBenchmarks();

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   std::printf("== Table IV: explanation AUC on synthetic datasets (higher is better) ==\n");
   PrintScope("table4", scope);
 
-  util::TablePrinter table({"Group", "Method", "Model", "Dataset", "AUC", "#inst"});
+  util::TablePrinter table({"Group", "Method", "Model", "Dataset", "AUC", "#inst", "#failed"});
   for (gnn::GnnArch arch : scope.archs) {
     for (const std::string& dataset : scope.datasets) {
       if (!eval::ArchSupportsDataset(arch, dataset)) continue;
@@ -50,11 +50,12 @@ int main(int argc, char** argv) {
         if (!MethodSupportsArch(method, arch)) continue;
         if (!TrainsPerObjective(method)) {
           auto explainer = eval::MakeExplainer(method, scope.config);
-          const double auc = eval::RunAuc(explainer.get(), prepared, instances,
-                                          explain::Objective::kFactual);
+          const eval::AucResult auc = eval::RunAuc(explainer.get(), prepared, instances,
+                                                   explain::Objective::kFactual);
           table.AddRow({"General", method, gnn::GnnArchName(arch), dataset,
-                        util::TablePrinter::FormatDouble(auc, 3),
-                        std::to_string(instances.size())});
+                        util::TablePrinter::FormatDouble(auc.mean_auc, 3),
+                        std::to_string(auc.instances_evaluated),
+                        std::to_string(auc.instances_failed)});
         } else {
           for (auto objective :
                {explain::Objective::kFactual, explain::Objective::kCounterfactual}) {
@@ -62,10 +63,12 @@ int main(int argc, char** argv) {
             const util::Status trained = eval::TrainAmortized(
                 explainer.get(), prepared, instances, objective, scope.config);
             CHECK(trained.ok()) << trained.ToString();
-            const double auc = eval::RunAuc(explainer.get(), prepared, instances, objective);
+            const eval::AucResult auc =
+                eval::RunAuc(explainer.get(), prepared, instances, objective);
             table.AddRow({explain::ObjectiveName(objective), method, gnn::GnnArchName(arch),
-                          dataset, util::TablePrinter::FormatDouble(auc, 3),
-                          std::to_string(instances.size())});
+                          dataset, util::TablePrinter::FormatDouble(auc.mean_auc, 3),
+                          std::to_string(auc.instances_evaluated),
+                          std::to_string(auc.instances_failed)});
           }
         }
         LOG_INFO << dataset << "/" << gnn::GnnArchName(arch) << " " << method << " done";

@@ -6,8 +6,8 @@
 # the serving equivalence suite (serve_equivalence_test), and the plan replay
 # harness (plan_equivalence_test); the TSan pass runs each as its own named
 # stage so a data race in the aggregation kernel or the layers over it, the
-# concurrent instance-parallel serving groups, or the level-parallel plan
-# executor is attributed directly. The plan and simd stages rerun their
+# concurrent instance-parallel serving groups, or plan replay inside
+# instance-parallel explanation is attributed directly. The plan and simd stages rerun their
 # equivalence suites under ASan, including the plan replay over NaN-filled
 # outputs (plan_equivalence_test), so full-overwrite contract violations
 # surface as NaNs: any vector sweep that over-reads past a tensor's end or
@@ -99,7 +99,8 @@ if [[ "${FAST}" -eq 0 ]]; then
   run_stage "ubsan"       ctest --preset ubsan
   run_stage "tsan-build"  build_preset tsan
   # Aggregation under TSan: the kernel-vs-chain suite and the only
-  # layer-level suite over the kernel, across thread counts.
+  # layer-level suite over the kernel, swept across thread counts (the
+  # kernel itself runs serially on each explanation's thread).
   run_stage "tsan-spmm"   ctest --preset tsan -R "spmm_equivalence_test|dense_reference_test"
   # Serving engine under TSan: the fault-injection suite, the equivalence
   # sweep (concurrent workers + coalescing vs batch ExplainAll), and the
@@ -111,10 +112,11 @@ if [[ "${FAST}" -eq 0 ]]; then
   # recorder's lock-free ring takes concurrent writes from several
   # ParallelFor regions sharing one frozen model while TSan watches.
   run_stage "tsan-flight" env REVELIO_FLIGHT_RECORDER=1 ctest --preset tsan -R serve_equivalence_test
-  # Plan replay under TSan: level-parallel step execution shares the tape
-  # across thread-pool workers, and re-record after invalidation races the global
-  # plan version bump; both must stay clean across thread counts. explain_test
-  # drives every mask-learning explainer through the same loop.
+  # Plan replay under TSan: instance-parallel ExplainBatch replays one plan
+  # session per instance on thread-pool workers, and re-record after
+  # invalidation races the global plan version bump; both must stay clean
+  # across thread counts. explain_test drives every mask-learning explainer
+  # through the same loop.
   run_stage "tsan-plan"   ctest --preset tsan -R "plan_equivalence_test|plan_test|explain_test"
   run_stage "tsan"        ctest --preset tsan -LE serve -E "spmm_equivalence_test|dense_reference_test|plan_equivalence_test|plan_test|explain_test"
 fi

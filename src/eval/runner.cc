@@ -292,6 +292,20 @@ std::vector<explain::Explanation> ExplainAll(explain::Explainer* explainer,
   return explanations;
 }
 
+namespace {
+
+// Trains an amortized explainer with the default group size unless it is
+// trained already. A failed training run leaves the objective untrained, so
+// every explanation then fails and is counted, not aborted on.
+void EnsureAmortizedTrained(explain::Explainer* explainer, const PreparedModel& prepared,
+                            const std::vector<EvalInstance>& instances, Objective objective) {
+  const util::Status trained =
+      TrainAmortized(explainer, prepared, instances, objective, RunnerConfig{});
+  if (!trained.ok()) LOG_WARNING << explainer->name() << ": " << trained.ToString();
+}
+
+}  // namespace
+
 FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& prepared,
                           const std::vector<EvalInstance>& instances, Objective objective,
                           const std::vector<double>& sparsities) {
@@ -299,10 +313,7 @@ FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& pr
   FidelityCurve curve;
   curve.sparsities = sparsities;
   curve.values.assign(sparsities.size(), 0.0);
-  // Default group size if not pre-trained.
-  const util::Status trained =
-      TrainAmortized(explainer, prepared, instances, objective, RunnerConfig{});
-  CHECK(trained.ok()) << trained.ToString();
+  EnsureAmortizedTrained(explainer, prepared, instances, objective);
   std::vector<ExplanationTask> tasks;
   tasks.reserve(instances.size());
   for (const EvalInstance& instance : instances) {
@@ -313,6 +324,10 @@ FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& pr
   // Serial reduction in instance order: parallel explanation changes neither
   // the per-instance values nor the order they are summed in.
   for (size_t i = 0; i < tasks.size(); ++i) {
+    if (!explanations[i].status.ok()) {
+      ++curve.instances_failed;
+      continue;
+    }
     for (size_t s = 0; s < sparsities.size(); ++s) {
       const double value =
           objective == Objective::kFactual
@@ -328,12 +343,10 @@ FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& pr
   return curve;
 }
 
-double RunAuc(explain::Explainer* explainer, const PreparedModel& prepared,
-              const std::vector<EvalInstance>& instances, Objective objective) {
+AucResult RunAuc(explain::Explainer* explainer, const PreparedModel& prepared,
+                 const std::vector<EvalInstance>& instances, Objective objective) {
   obs::ScopedSpan span("eval.RunAuc");
-  const util::Status trained =
-      TrainAmortized(explainer, prepared, instances, objective, RunnerConfig{});
-  CHECK(trained.ok()) << trained.ToString();
+  EnsureAmortizedTrained(explainer, prepared, instances, objective);
   std::vector<ExplanationTask> tasks;
   std::vector<const EvalInstance*> evaluated_instances;
   for (const EvalInstance& instance : instances) {
@@ -343,11 +356,18 @@ double RunAuc(explain::Explainer* explainer, const PreparedModel& prepared,
   }
   const std::vector<explain::Explanation> explanations =
       ExplainAll(explainer, tasks, objective);
+  AucResult result;
   double total = 0.0;
   for (size_t i = 0; i < tasks.size(); ++i) {
+    if (!explanations[i].status.ok()) {
+      ++result.instances_failed;
+      continue;
+    }
     total += RocAuc(explanations[i].edge_scores, evaluated_instances[i]->edge_in_motif);
+    ++result.instances_evaluated;
   }
-  return tasks.empty() ? 0.5 : total / static_cast<double>(tasks.size());
+  if (result.instances_evaluated > 0) result.mean_auc = total / result.instances_evaluated;
+  return result;
 }
 
 }  // namespace revelio::eval

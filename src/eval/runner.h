@@ -110,20 +110,35 @@ std::vector<explain::Explanation> ExplainAll(explain::Explainer* explainer,
                                              const std::vector<explain::ExplanationTask>& tasks,
                                              explain::Objective objective);
 
+// Both protocols below skip an instance whose explanation failed (a non-ok
+// Explanation::status, e.g. a diverged mask or an unsupported architecture)
+// and count it in instances_failed; the means cover the rest. An amortized
+// explainer whose training fails answers every task with an error, so all
+// instances count as failed.
+
 // Mean Fidelity-/Fidelity+ over instances for each sparsity level.
 struct FidelityCurve {
   std::vector<double> sparsities;
   std::vector<double> values;
   int instances_evaluated = 0;
+  int instances_failed = 0;
 };
 
 FidelityCurve RunFidelity(explain::Explainer* explainer, const PreparedModel& prepared,
                           const std::vector<EvalInstance>& instances,
                           explain::Objective objective, const std::vector<double>& sparsities);
 
-// Mean explanation AUC against motif ground truth (Table IV protocol).
-double RunAuc(explain::Explainer* explainer, const PreparedModel& prepared,
-              const std::vector<EvalInstance>& instances, explain::Objective objective);
+// Mean explanation AUC against motif ground truth (Table IV protocol); 0.5
+// when no instance was evaluated. Instances without ground truth are skipped
+// and counted in neither field.
+struct AucResult {
+  double mean_auc = 0.5;
+  int instances_evaluated = 0;
+  int instances_failed = 0;
+};
+
+AucResult RunAuc(explain::Explainer* explainer, const PreparedModel& prepared,
+                 const std::vector<EvalInstance>& instances, explain::Objective objective);
 
 }  // namespace revelio::eval
 

@@ -57,6 +57,13 @@ Explanation Explainer::Explain(const ExplanationTask& task, Objective objective)
                                                               : std::string());
   static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("explain.calls");
   calls->Increment();
+  if (task.model != nullptr && !SupportsArch(task.model->config().arch)) {
+    Explanation rejected;
+    rejected.status = util::Status::InvalidArgument(
+        name() + " does not support " + gnn::GnnArchName(task.model->config().arch) +
+        " models");
+    return rejected;
+  }
   obs::AuditScope audit;
   if (!audit.active()) return ExplainImpl(task, objective);
 
@@ -72,15 +79,14 @@ std::vector<Explanation> Explainer::ExplainBatch(const std::vector<const Explana
                                                  Objective objective) {
   for (const ExplanationTask* task : tasks) CHECK(task != nullptr);
   std::vector<Explanation> results(tasks.size());
-  // A lone task stays on the calling thread so its tensor kernels keep their
-  // own parallelism; methods with per-call mutable state run one at a time.
-  if (tasks.size() == 1 || !thread_safe_explain()) {
+  // Methods with per-call mutable state run one at a time.
+  if (!thread_safe_explain()) {
     for (size_t i = 0; i < tasks.size(); ++i) results[i] = Explain(*tasks[i], objective);
     return results;
   }
-  // One slot per instance, one writer per slot. Tensor ops inside Explain
-  // detect the enclosing region and run serially (instance-level parallelism
-  // wins over kernel-level).
+  // Instances are the one parallel axis: one slot per instance, one writer
+  // per slot, and each Explain runs serially on the thread that claimed it.
+  // A lone task runs on the calling thread (ParallelFor's one-chunk path).
   Explanation* out = results.data();
   const ExplanationTask* const* in = tasks.data();
   util::ParallelFor(0, static_cast<int64_t>(tasks.size()), 1,

@@ -67,8 +67,8 @@ class Explainer {
   virtual bool supports_counterfactual() const { return false; }
 
   // Model-specific methods (GNN-LRP) return false for unsupported
-  // architectures; callers must skip those combinations (paper: "GNN-LRP is
-  // not compatible with GATs").
+  // architectures (paper: "GNN-LRP is not compatible with GATs"); Explain
+  // answers such a task with an InvalidArgument status.
   virtual bool SupportsArch(gnn::GnnArch arch) const {
     (void)arch;
     return true;
@@ -81,17 +81,19 @@ class Explainer {
   virtual bool thread_safe_explain() const { return true; }
 
   // Shared entry point: opens the "explain.<name()>" telemetry span, counts
-  // the call and emits one audit record, then dispatches to ExplainImpl.
-  // Non-virtual so every method is instrumented uniformly regardless of call
-  // site.
+  // the call, rejects a model architecture the method does not support
+  // (InvalidArgument status, empty scores), emits one audit record, then
+  // dispatches to ExplainImpl. Non-virtual so every method is instrumented
+  // uniformly regardless of call site.
   Explanation Explain(const ExplanationTask& task, Objective objective);
 
   // Batched entry point: one Explain per task, index-parallel to `tasks`.
   // Tasks run side by side (util::ParallelFor, one instance per slot) when
-  // thread_safe_explain() holds, serially otherwise; a one-task batch runs
-  // on the calling thread so its kernels keep their own parallelism. Each
-  // Explain is deterministic on its own, so results are bitwise-equal to the
-  // per-task loop at any thread count.
+  // thread_safe_explain() holds, serially otherwise. This is the only place
+  // explanation forks: each Explain runs serially on one thread, and a
+  // one-task batch runs on the calling thread. Each Explain is deterministic
+  // on its own, so results are bitwise-equal to the per-task loop at any
+  // thread count.
   std::vector<Explanation> ExplainBatch(const std::vector<const ExplanationTask*>& tasks,
                                         Objective objective);
 

@@ -47,7 +47,7 @@ class Counter {
     if (n == 0) return;
     // Counter deltas also land in the bounded flight ring (independent of the
     // metrics switch) so a post-mortem shows what was being counted.
-    if (flight_ && FlightEnabled()) {
+    if (FlightEnabled()) {
       FlightRecorder::Global().Record(FlightEventKind::kCounterDelta, name_.c_str(),
                                       static_cast<double>(n));
     }
@@ -55,11 +55,6 @@ class Counter {
     cells_[internal::ThisThreadShard()].value.fetch_add(n, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
-
-  // Opts this counter out of flight-ring recording. For counters ticked on
-  // paths cheaper than a ring record itself (the serial-fallback tick),
-  // where the events would both dominate the cost and flood the bounded ring.
-  void DisableFlightRecording() { flight_ = false; }
 
   uint64_t Total() const;
   void Reset();
@@ -73,7 +68,6 @@ class Counter {
     std::atomic<uint64_t> value{0};
   };
   std::string name_;
-  bool flight_ = true;
   Cell cells_[kMetricShards];
 };
 

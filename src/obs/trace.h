@@ -72,8 +72,7 @@ class TraceRecorder {
 // Whether a span feeds the bounded flight ring in addition to the span log.
 // Hot per-op kernel spans (fired thousands of times per explanation) opt out:
 // their ring records cost more than the work they describe, and the crash
-// ring wants coarse phase structure, not kernel-level noise — the same
-// trade-off as Counter::DisableFlightRecording.
+// ring wants coarse phase structure, not kernel-level noise.
 enum class FlightPolicy { kRecord, kSkip };
 
 class ScopedSpan {

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/op_helpers.h"
 #include "util/check.h"
 #include "util/flags.h"
-#include "util/parallel.h"
 
 namespace revelio::plan {
 
@@ -25,18 +22,11 @@ std::atomic<uint64_t>& GlobalVersionCounter() {
   return version;
 }
 
-// Runs one plan step: a fused run sweeps every member chunk over each flat
-// range in tape order (same bits as running the member ops back to back,
-// since chunked kernels are pointwise); a plain step re-runs its recorded
-// closure.
+// Runs one plan step: a fused run sweeps every member chunk over the whole
+// flat range in tape order; a plain step re-runs its recorded closure.
 void ExecuteStep(const tensor::rec::OpTape& tape, const PlanStep& step) {
   if (step.fused) {
-    const auto& ops = tape.ops;
-    const auto& indices = step.op_indices;
-    util::ParallelFor(0, step.numel, tensor::kElementwiseGrain,
-                      [&ops, &indices](int64_t begin, int64_t end) {
-                        for (int idx : indices) ops[idx].chunk(begin, end);
-                      });
+    for (int idx : step.op_indices) tape.ops[idx].chunk(0, step.numel);
   } else {
     tape.ops[step.op_indices[0]].replay();
   }
@@ -66,8 +56,8 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape) {
   plan->num_ops_ = n;
 
   // Fusion: maximal runs of consecutive tape ops that expose a chunk kernel
-  // with the same flat extent. Tape order resolves in-group dependencies
-  // per chunk, so the fused sweep is bitwise-equal to the op-by-op replay.
+  // with the same flat extent. The members run in tape order, so the fused
+  // sweep is bitwise-equal to the op-by-op replay.
   int i = 0;
   while (i < n) {
     PlanStep step;
@@ -86,32 +76,6 @@ std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape) {
     }
     i += static_cast<int>(step.op_indices.size());
     plan->steps_.push_back(std::move(step));
-  }
-
-  // Dependence levels: a step's level is one past the deepest step producing
-  // any of its inputs. Steps sharing a level are independent.
-  std::unordered_map<const tensor::internal::TensorNode*, int> producer_step;
-  for (int s = 0; s < static_cast<int>(plan->steps_.size()); ++s) {
-    for (int op : plan->steps_[s].op_indices) producer_step[ops[op].out.get()] = s;
-  }
-  int max_level = -1;
-  for (int s = 0; s < static_cast<int>(plan->steps_.size()); ++s) {
-    PlanStep& step = plan->steps_[s];
-    int level = 0;
-    for (int op : step.op_indices) {
-      for (const auto& input : ops[op].inputs) {
-        auto it = producer_step.find(input.get());
-        if (it != producer_step.end() && it->second != s) {
-          level = std::max(level, plan->steps_[it->second].level + 1);
-        }
-      }
-    }
-    step.level = level;
-    max_level = std::max(max_level, level);
-  }
-  plan->levels_.assign(static_cast<size_t>(max_level + 1), {});
-  for (int s = 0; s < static_cast<int>(plan->steps_.size()); ++s) {
-    plan->levels_[plan->steps_[s].level].push_back(s);
   }
   return plan;
 }
@@ -164,23 +128,8 @@ bool PlanSession::Replay() {
   }
   obs::ScopedSpan span("plan.replay", obs::FlightPolicy::kSkip);
 
-  // Forward: levels in order; independent steps within a level go wide on
-  // the thread pool (each step writes only its own output, and nested
-  // ParallelFor inside a step runs serially — see util/parallel.h).
-  for (const auto& level : plan_->levels()) {
-    if (level.size() > 1 && util::NumThreads() > 1) {
-      const auto& steps = plan_->steps();
-      const auto& tape = tape_;
-      util::ParallelFor(0, static_cast<int64_t>(level.size()), 1,
-                        [&level, &steps, &tape](int64_t begin, int64_t end) {
-                          for (int64_t s = begin; s < end; ++s) {
-                            ExecuteStep(tape, steps[level[s]]);
-                          }
-                        });
-    } else {
-      for (int s : level) ExecuteStep(tape_, plan_->steps()[s]);
-    }
-  }
+  // Forward: steps in tape order, a topological order of the recorded ops.
+  for (const PlanStep& step : plan_->steps()) ExecuteStep(tape_, step);
 
   // Backward: fresh grads for every tape node (leaf grads belong to the
   // optimizer), seed the root, then the cached order — exactly what an

@@ -6,13 +6,12 @@
 // The explanation inner loops are shape-stable across optimizer epochs, so
 // after recording one epoch's op tape (tensor/record.h) the remaining
 // epochs replay through a compiled Plan instead of re-dispatching the eager
-// ops: consecutive same-extent elementwise ops are fused into one parallel
-// sweep, independent steps within a dependence level run on the thread
-// pool, and nothing is allocated: the tape pins every node, so each kernel
-// reruns on the buffer the previous epoch left behind. The backward pass
-// replays through the node order cached at seal time — the exact order
-// Tensor::Backward would compute — so a replayed epoch is bitwise-identical
-// to an eager one at any thread count.
+// ops: consecutive same-extent elementwise ops are fused into one step, the
+// steps run serially in tape order on the calling thread, and nothing is
+// allocated: the tape pins every node, so each kernel reruns on the buffer
+// the previous epoch left behind. The backward pass replays through the node
+// order cached at seal time — the exact order Tensor::Backward would compute
+// — so a replayed epoch is bitwise-identical to an eager one.
 //
 // The one training loop that records and replays plans is
 // explain::LearnMasks (explain/mask_learning.h); a session lives for one
@@ -47,20 +46,17 @@ uint64_t GlobalPlanVersion();
 void BumpGlobalPlanVersion();
 
 // One executable unit: a single tape op, or a fused run of consecutive
-// same-extent elementwise ops executed as one parallel sweep.
+// same-extent elementwise ops executed as one sweep.
 struct PlanStep {
   std::vector<int> op_indices;  // tape indices, in tape order
   bool fused = false;
   int64_t numel = 0;  // flat extent shared by a fused run
-  int level = 0;      // dependence level (0 = no recorded producers)
 };
 
 class Plan {
  public:
+  // Steps in tape order, which is a topological order of the data flow.
   const std::vector<PlanStep>& steps() const { return steps_; }
-  // Steps grouped by dependence level; steps within a level have no
-  // dependencies on each other and may run concurrently.
-  const std::vector<std::vector<int>>& levels() const { return levels_; }
   int num_ops() const { return num_ops_; }
   // Ops that were folded into multi-op fused steps.
   int fused_ops() const { return fused_ops_; }
@@ -69,14 +65,12 @@ class Plan {
   friend std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
   std::vector<PlanStep> steps_;
-  std::vector<std::vector<int>> levels_;
   int num_ops_ = 0;
   int fused_ops_ = 0;
 };
 
 // Compiles a recorded tape: fuses maximal runs of consecutive same-extent
-// elementwise ops and assigns dependence levels. The tape must outlive the
-// plan (steps index into it).
+// elementwise ops. The tape must outlive the plan (steps index into it).
 std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
 
 // Owns one training loop's recorded tape, compiled plan, and cached backward
@@ -117,10 +111,10 @@ class PlanSession {
   // the backward order.
   void Seal(const tensor::Tensor& root);
 
-  // Re-executes the sealed plan (forward by level, then the cached backward
-  // order) and returns true. Returns false — after discarding the stale
-  // plan — when no plan is sealed or the global plan version moved since
-  // the seal; the caller must re-record.
+  // Re-executes the sealed plan (forward in step order, then the cached
+  // backward order) and returns true. Returns false — after discarding the
+  // stale plan — when no plan is sealed or the global plan version moved
+  // since the seal; the caller must re-record.
   bool Replay();
 
   // Drops the plan, tape, and cached orders, severing the retained autograd

@@ -17,7 +17,7 @@
 //                              │
 //                              ▼
 //                  Explainer::ExplainBatch (instance-parallel; a lone
-//                  request keeps kernel-level parallelism)
+//                  request runs serially on the worker thread)
 //
 // Responses travel back through per-request std::futures. Every request is
 // answered exactly once, with either a result or an explicit util::Status

@@ -35,14 +35,12 @@ void AccumulateInto(TensorNode* target, const std::vector<float>& grad, float sc
   CHECK_EQ(target->grad.size(), grad.size());
   const float* g = grad.data();
   float* t = target->grad.data();
-  util::ParallelFor(0, static_cast<int64_t>(grad.size()), kElementwiseGrain,
-                    [g, t, scale](int64_t begin, int64_t end) {
-                      if (simd::Enabled()) {
-                        simd::MulAccF32(g + begin, scale, t + begin, end - begin);
-                        return;
-                      }
-                      for (int64_t i = begin; i < end; ++i) t[i] += scale * g[i];
-                    });
+  const int64_t n = static_cast<int64_t>(grad.size());
+  if (simd::Enabled()) {
+    simd::MulAccF32(g, scale, t, n);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) t[i] += scale * g[i];
 }
 
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op_name) {

@@ -3,7 +3,6 @@
 
 // Shared plumbing for op implementations. Internal to src/tensor.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -11,20 +10,8 @@
 #include <vector>
 
 #include "tensor/tensor.h"
-#include "util/parallel.h"
 
 namespace revelio::tensor {
-
-// Parallelization grains (items per chunk), sized so small tensors stay on
-// the single-call serial path of util::ParallelFor.
-constexpr int64_t kElementwiseGrain = int64_t{1} << 14;  // flat floats per chunk
-
-// Rows per chunk for row-partitioned kernels whose per-row cost is
-// `per_row_cost` (flops or floats touched).
-inline int64_t RowGrain(int64_t per_row_cost) {
-  constexpr int64_t kMinChunkCost = int64_t{1} << 15;
-  return std::max<int64_t>(1, kMinChunkCost / std::max<int64_t>(1, per_row_cost));
-}
 
 // Result nodes: internal::NewNode (tensor.h) states the full-overwrite-or-
 // self-zero contract every kernel keeps.

@@ -9,13 +9,11 @@
 #include "tensor/op_helpers.h"
 #include "tensor/record.h"
 #include "tensor/simd.h"
-#include "util/parallel.h"
 
-// Parallelization strategy (see DESIGN.md "Parallel execution"): every
-// kernel partitions its OUTPUT range — rows for matmul/row-wise ops, the
-// flat index space for elementwise ops — so each output element is written
-// by exactly one chunk and the accumulation order within an element matches
-// the serial loop. Results are bitwise-identical for any thread count.
+// Kernels run serially on the calling thread (DESIGN.md "Parallel
+// execution"): an explanation's tensors are tens to hundreds of rows, so the
+// one parallel axis is across explanation instances, and results never depend
+// on the thread count.
 //
 // Recording (DESIGN.md §12): when a plan tape is active, each op appends the
 // very same kernel lambda it just ran, bound to the same node buffers, so
@@ -24,9 +22,9 @@
 // scratch state is reset inside the lambda. obs spans/counters stay outside
 // the recorded closure: replay is on the hot path and must not re-count.
 //
-// SIMD (DESIGN.md §13): chunk bodies dispatch to the tensor/simd.h kernels
+// SIMD (DESIGN.md §13): kernel bodies dispatch to the tensor/simd.h kernels
 // when simd::Enabled(), falling back to the scalar loops below otherwise.
-// The dispatch lives INSIDE the chunk lambdas, so recorded tapes honor the
+// The dispatch lives INSIDE the kernel lambdas, so recorded tapes honor the
 // runtime toggle on replay and fused elementwise chains vectorize through
 // the same kernels. Vectorized bodies are bitwise-equal to the scalar loops
 // (mul-then-add per element in the same order), MatMul's dA included; the
@@ -37,17 +35,6 @@
 namespace revelio::tensor {
 
 using internal::TensorNode;
-
-namespace {
-
-// Elementwise loops share one shape: hoist the raw pointers once, then
-// split the flat range.
-template <typename Fn>
-void ElementwiseFor(int64_t n, const Fn& fn) {
-  util::ParallelFor(0, n, kElementwiseGrain, fn);
-}
-
-}  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b, "Add");
@@ -62,7 +49,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] + bv[i];
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Add", out, {a.node(), b.node()}, out->numel(), chunk);
@@ -87,7 +74,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] - bv[i];
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Sub", out, {a.node(), b.node()}, out->numel(), chunk);
@@ -112,7 +99,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * bv[i];
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Mul", out, {a.node(), b.node()}, out->numel(), chunk);
@@ -126,25 +113,21 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      ElementwiseFor(n, [g, ga, bv](int64_t begin, int64_t end) {
-        if (simd::Enabled()) {
-          simd::MulPairAccF32(g + begin, bv + begin, ga + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) ga[i] += g[i] * bv[i];
-      });
+      if (simd::Enabled()) {
+        simd::MulPairAccF32(g, bv, ga, n);
+      } else {
+        for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * bv[i];
+      }
     }
     if (bn->requires_grad) {
       bn->EnsureGrad();
       float* gb = bn->grad.data();
       const float* av = an->values.data();
-      ElementwiseFor(n, [g, gb, av](int64_t begin, int64_t end) {
-        if (simd::Enabled()) {
-          simd::MulPairAccF32(g + begin, av + begin, gb + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) gb[i] += g[i] * av[i];
-      });
+      if (simd::Enabled()) {
+        simd::MulPairAccF32(g, av, gb, n);
+      } else {
+        for (int64_t i = 0; i < n; ++i) gb[i] += g[i] * av[i];
+      }
     }
   });
   return Tensor::FromNode(out);
@@ -160,16 +143,14 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
   const int cols = matrix.cols();
   const int rows = matrix.rows();
   auto run = [mv, rv, ov, cols, rows]() {
-    util::ParallelFor(0, rows, RowGrain(cols), [mv, rv, ov, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        if (simd::Enabled()) {
-          simd::AddF32(mv + base, rv, ov + base, cols);
-          continue;
-        }
-        for (int c = 0; c < cols; ++c) ov[base + c] = mv[base + c] + rv[c];
+    for (int r = 0; r < rows; ++r) {
+      const size_t base = static_cast<size_t>(r) * cols;
+      if (simd::Enabled()) {
+        simd::AddF32(mv + base, rv, ov + base, cols);
+        continue;
       }
-    });
+      for (int c = 0; c < cols; ++c) ov[base + c] = mv[base + c] + rv[c];
+    }
   };
   run();
   if (simd::Enabled()) simd::CountSweep(out->numel());
@@ -186,15 +167,12 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
       const int rows = o->rows;
       const float* g = o->grad.data();
       float* gr = rn->grad.data();
-      // Column-partitioned so each grad entry has one owner; the per-column
-      // sum keeps the serial row order.
-      util::ParallelFor(0, cols, RowGrain(rows), [g, gr, cols, rows](int64_t cb, int64_t ce) {
-        for (int64_t c = cb; c < ce; ++c) {
-          float acc = 0.0f;
-          for (int r = 0; r < rows; ++r) acc += g[static_cast<size_t>(r) * cols + c];
-          gr[c] += acc;
-        }
-      });
+      // Per-column sum in row order, folded into the grad once.
+      for (int c = 0; c < cols; ++c) {
+        float acc = 0.0f;
+        for (int r = 0; r < rows; ++r) acc += g[static_cast<size_t>(r) * cols + c];
+        gr[c] += acc;
+      }
     }
   });
   return Tensor::FromNode(out);
@@ -211,7 +189,7 @@ Tensor AddScalar(const Tensor& a, float s) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] + s;
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("AddScalar", out, {a.node()}, out->numel(), chunk);
@@ -232,7 +210,7 @@ Tensor MulScalar(const Tensor& a, float s) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * s;
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("MulScalar", out, {a.node()}, out->numel(), chunk);
@@ -260,7 +238,7 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * s;
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("ScaleByScalarTensor", out, {a.node(), scalar.node()}, out->numel(),
@@ -275,17 +253,15 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
     if (an->requires_grad) {
       an->EnsureGrad();
       float* ga = an->grad.data();
-      ElementwiseFor(n, [g, ga, s](int64_t begin, int64_t end) {
-        if (simd::Enabled()) {
-          simd::MulAccF32(g + begin, s, ga + begin, end - begin);
-          return;
-        }
-        for (int64_t i = begin; i < end; ++i) ga[i] += g[i] * s;
-      });
+      if (simd::Enabled()) {
+        simd::MulAccF32(g, s, ga, n);
+      } else {
+        for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * s;
+      }
     }
     if (sn->requires_grad) {
       sn->EnsureGrad();
-      // Scalar reduction: serial, in index order, for determinism.
+      // Scalar reduction in index order.
       const float* av = an->values.data();
       float acc = 0.0f;
       for (int64_t i = 0; i < n; ++i) acc += g[i] * av[i];
@@ -306,7 +282,7 @@ Tensor Relu(const Tensor& a) {
     }
     for (int64_t i = begin; i < end; ++i) ov[i] = av[i] > 0.0f ? av[i] : 0.0f;
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Relu", out, {a.node()}, out->numel(), chunk);
@@ -318,16 +294,14 @@ Tensor Relu(const Tensor& a) {
     const float* g = o->grad.data();
     const float* av = an->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, av, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::ReluGradAccF32(g + begin, av + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       if (av[i] > 0.0f) ga[i] += g[i];
-                     }
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    if (simd::Enabled()) {
+      simd::ReluGradAccF32(g, av, ga, n);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      if (av[i] > 0.0f) ga[i] += g[i];
+    }
   });
   return Tensor::FromNode(out);
 }
@@ -345,7 +319,7 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
       ov[i] = av[i] > 0.0f ? av[i] : negative_slope * av[i];
     }
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (simd::Enabled()) simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("LeakyRelu", out, {a.node()}, out->numel(), chunk);
@@ -357,17 +331,12 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
     const float* g = o->grad.data();
     const float* av = an->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, av, ga, negative_slope](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::LeakyReluGradAccF32(g + begin, av + begin, negative_slope,
-                                                 ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] * (av[i] > 0.0f ? 1.0f : negative_slope);
-                     }
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    if (simd::Enabled()) {
+      simd::LeakyReluGradAccF32(g, av, negative_slope, ga, n);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (av[i] > 0.0f ? 1.0f : negative_slope);
   });
   return Tensor::FromNode(out);
 }
@@ -379,7 +348,7 @@ Tensor Tanh(const Tensor& a) {
   auto chunk = [av, ov](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) ov[i] = std::tanh(av[i]);
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Tanh", out, {a.node()}, out->numel(), chunk);
   }
@@ -390,16 +359,12 @@ Tensor Tanh(const Tensor& a) {
     const float* g = o->grad.data();
     const float* ov = o->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, ov, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::TanhGradAccF32(g + begin, ov + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] * (1.0f - ov[i] * ov[i]);
-                     }
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    if (simd::Enabled()) {
+      simd::TanhGradAccF32(g, ov, ga, n);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (1.0f - ov[i] * ov[i]);
   });
   return Tensor::FromNode(out);
 }
@@ -411,7 +376,7 @@ Tensor Sigmoid(const Tensor& a) {
   auto chunk = [av, ov](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) ov[i] = 1.0f / (1.0f + std::exp(-av[i]));
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Sigmoid", out, {a.node()}, out->numel(), chunk);
   }
@@ -422,16 +387,12 @@ Tensor Sigmoid(const Tensor& a) {
     const float* g = o->grad.data();
     const float* ov = o->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, ov, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::SigmoidGradAccF32(g + begin, ov + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] * ov[i] * (1.0f - ov[i]);
-                     }
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    if (simd::Enabled()) {
+      simd::SigmoidGradAccF32(g, ov, ga, n);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * ov[i] * (1.0f - ov[i]);
   });
   return Tensor::FromNode(out);
 }
@@ -443,7 +404,7 @@ Tensor Exp(const Tensor& a) {
   auto chunk = [av, ov](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) ov[i] = std::exp(av[i]);
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Exp", out, {a.node()}, out->numel(), chunk);
   }
@@ -454,14 +415,12 @@ Tensor Exp(const Tensor& a) {
     const float* g = o->grad.data();
     const float* ov = o->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, ov, ga](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::MulPairAccF32(g + begin, ov + begin, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) ga[i] += g[i] * ov[i];
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    if (simd::Enabled()) {
+      simd::MulPairAccF32(g, ov, ga, n);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * ov[i];
   });
   return Tensor::FromNode(out);
 }
@@ -473,7 +432,7 @@ Tensor Log(const Tensor& a, float eps) {
   auto chunk = [av, ov, eps](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) ov[i] = std::log(std::max(av[i], eps));
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Log", out, {a.node()}, out->numel(), chunk);
   }
@@ -484,12 +443,8 @@ Tensor Log(const Tensor& a, float eps) {
     const float* g = o->grad.data();
     const float* av = an->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, av, ga, eps](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       ga[i] += g[i] / std::max(av[i], eps);
-                     }
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] / std::max(av[i], eps);
   });
   return Tensor::FromNode(out);
 }
@@ -505,7 +460,7 @@ Tensor Softplus(const Tensor& a) {
       ov[i] = std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
     }
   };
-  ElementwiseFor(out->numel(), chunk);
+  chunk(0, out->numel());
   if (rec::Recording()) {
     rec::RecordElementwise("Softplus", out, {a.node()}, out->numel(), chunk);
   }
@@ -516,13 +471,11 @@ Tensor Softplus(const Tensor& a) {
     const float* g = o->grad.data();
     const float* av = an->values.data();
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(o->grad.size()),
-                   [g, av, ga](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       const float s = 1.0f / (1.0f + std::exp(-av[i]));
-                       ga[i] += g[i] * s;
-                     }
-                   });
+    const int64_t n = static_cast<int64_t>(o->grad.size());
+    for (int64_t i = 0; i < n; ++i) {
+      const float s = 1.0f / (1.0f + std::exp(-av[i]));
+      ga[i] += g[i] * s;
+    }
   });
   return Tensor::FromNode(out);
 }
@@ -541,31 +494,26 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   flops->Add(uint64_t{2} * n * k * m);
   bytes->Add(sizeof(float) * (uint64_t{1} * n * k + uint64_t{1} * k * m + uint64_t{1} * n * m));
   auto out = NewNode(n, m);
-  // ikj loop order: unit-stride inner loop. Rows of the output are
-  // independent, so the i loop is partitioned across threads. Each chunk
-  // zeroes its own rows before accumulating (first-touch, and a replayed
-  // kernel finds the previous epoch's values), matching the serial path.
+  // ikj loop order: unit-stride inner loop. Each row is zeroed before it
+  // accumulates (a replayed kernel finds the previous epoch's values).
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
-  const int64_t row_flops = int64_t{2} * k * m;
-  auto run = [av, bv, ov, n, k, m, row_flops]() {
-    util::ParallelFor(0, n, RowGrain(row_flops), [av, bv, ov, k, m](int64_t ib, int64_t ie) {
-      if (simd::Enabled()) {
-        simd::MatMulRowsF32(av, bv, ov, ib, ie, k, m);
-        return;
+  auto run = [av, bv, ov, n, k, m]() {
+    if (simd::Enabled()) {
+      simd::MatMulRowsF32(av, bv, ov, 0, n, k, m);
+      return;
+    }
+    for (int i = 0; i < n; ++i) {
+      float* orow = ov + static_cast<size_t>(i) * m;
+      std::fill(orow, orow + m, 0.0f);
+      for (int kk = 0; kk < k; ++kk) {
+        const float aik = av[static_cast<size_t>(i) * k + kk];
+        if (aik == 0.0f) continue;
+        const float* brow = bv + static_cast<size_t>(kk) * m;
+        for (int j = 0; j < m; ++j) orow[j] += aik * brow[j];
       }
-      for (int64_t i = ib; i < ie; ++i) {
-        float* orow = ov + static_cast<size_t>(i) * m;
-        std::fill(orow, orow + m, 0.0f);
-        for (int kk = 0; kk < k; ++kk) {
-          const float aik = av[static_cast<size_t>(i) * k + kk];
-          if (aik == 0.0f) continue;
-          const float* brow = bv + static_cast<size_t>(kk) * m;
-          for (int j = 0; j < m; ++j) orow[j] += aik * brow[j];
-        }
-      }
-    });
+    }
   };
   run();
   if (simd::Enabled()) simd::CountSweep(static_cast<int64_t>(n) * m);
@@ -576,20 +524,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     TensorNode* an = o->parents[0].get();
     TensorNode* bn = o->parents[1].get();
     const float* g = o->grad.data();
-    const int64_t row_flops = int64_t{2} * k * m;
     if (an->requires_grad) {
       // dA = G * B^T, computed as dot products against rows of B (the
       // transposed-B fast path: both factors are read with unit stride).
-      // dA rows are independent -> partition over i. The SIMD path instead
-      // transposes B once and runs the forward's row-axpy body against B^T
-      // (ga[i,:] += sum_j g[i,j] * B^T[j,:]): each lane folds from +0 over j
-      // ascending like `acc` below, so the result is bitwise-equal. The
-      // transpose lives in per-thread scratch that only grows, so plan
-      // replay stays allocation-free.
+      // The SIMD path instead transposes B once and runs the forward's
+      // row-axpy body against B^T (ga[i,:] += sum_j g[i,j] * B^T[j,:]): each
+      // lane folds from +0 over j ascending like `acc` below, so the result
+      // is bitwise-equal. The transpose lives in per-thread scratch that only
+      // grows, so plan replay stays allocation-free.
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      const float* bt = nullptr;
       if (simd::Enabled()) {
         thread_local std::vector<float> bt_scratch;
         if (bt_scratch.size() < static_cast<size_t>(k) * m) {
@@ -600,14 +545,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             bt_scratch[static_cast<size_t>(j) * k + kk] = bv[static_cast<size_t>(kk) * m + j];
           }
         }
-        bt = bt_scratch.data();
-      }
-      util::ParallelFor(0, n, RowGrain(row_flops), [g, ga, bv, bt, k, m](int64_t ib, int64_t ie) {
-        if (bt != nullptr) {
-          simd::MatMulAccRowsF32(g, bt, ga, ib, ie, /*k=*/m, /*m=*/k);
-          return;
-        }
-        for (int64_t i = ib; i < ie; ++i) {
+        simd::MatMulAccRowsF32(g, bt_scratch.data(), ga, 0, n, /*k=*/m, /*m=*/k);
+      } else {
+        for (int i = 0; i < n; ++i) {
           const float* grow = g + static_cast<size_t>(i) * m;
           float* garow = ga + static_cast<size_t>(i) * k;
           for (int kk = 0; kk < k; ++kk) {
@@ -617,31 +557,28 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             garow[kk] += acc;
           }
         }
-      });
+      }
     }
     if (bn->requires_grad) {
-      // dB = A^T * G. Partitioned over dB rows (kk); the i loop stays
-      // innermost-outer so each dB element accumulates in serial order.
+      // dB = A^T * G, with the i loop outermost so each dB element
+      // accumulates in row order.
       bn->EnsureGrad();
       float* gb = bn->grad.data();
       const float* av = an->values.data();
-      const int64_t col_flops = int64_t{2} * n * m;
-      util::ParallelFor(0, k, RowGrain(col_flops), [g, gb, av, n, k, m](int64_t kb, int64_t ke) {
-        if (simd::Enabled()) {
-          simd::MatMulGradBRowsF32(g, av, gb, kb, ke, n, k, m);
-          return;
+      if (simd::Enabled()) {
+        simd::MatMulGradBRowsF32(g, av, gb, 0, k, n, k, m);
+        return;
+      }
+      for (int i = 0; i < n; ++i) {
+        const float* grow = g + static_cast<size_t>(i) * m;
+        const float* arow = av + static_cast<size_t>(i) * k;
+        for (int kk = 0; kk < k; ++kk) {
+          const float aik = arow[kk];
+          if (aik == 0.0f) continue;
+          float* gbrow = gb + static_cast<size_t>(kk) * m;
+          for (int j = 0; j < m; ++j) gbrow[j] += aik * grow[j];
         }
-        for (int i = 0; i < n; ++i) {
-          const float* grow = g + static_cast<size_t>(i) * m;
-          const float* arow = av + static_cast<size_t>(i) * k;
-          for (int64_t kk = kb; kk < ke; ++kk) {
-            const float aik = arow[kk];
-            if (aik == 0.0f) continue;
-            float* gbrow = gb + static_cast<size_t>(kk) * m;
-            for (int j = 0; j < m; ++j) gbrow[j] += aik * grow[j];
-          }
-        }
-      });
+      }
     }
   });
   return Tensor::FromNode(out);
@@ -649,8 +586,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
 Tensor Sum(const Tensor& a) {
   auto out = NewNode(1, 1);
-  // Scalar reduction stays serial: a single double accumulator in index
-  // order keeps the result independent of the thread count.
+  // One double accumulator in index order.
   const float* av = a.values().data();
   const int64_t n = a.numel();
   float* ov = out->values.data();
@@ -669,14 +605,12 @@ Tensor Sum(const Tensor& a) {
     an->EnsureGrad();
     const float g = o->grad[0];
     float* ga = an->grad.data();
-    ElementwiseFor(static_cast<int64_t>(an->grad.size()),
-                   [ga, g](int64_t begin, int64_t end) {
-                     if (simd::Enabled()) {
-                       simd::AddScalarAccF32(g, ga + begin, end - begin);
-                       return;
-                     }
-                     for (int64_t i = begin; i < end; ++i) ga[i] += g;
-                   });
+    const int64_t n = static_cast<int64_t>(an->grad.size());
+    if (simd::Enabled()) {
+      simd::AddScalarAccF32(g, ga, n);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) ga[i] += g;
   });
   return Tensor::FromNode(out);
 }
@@ -693,19 +627,17 @@ Tensor RowSoftmax(const Tensor& a) {
   float* ov = out->values.data();
   const int rows = a.rows();
   auto run = [av, ov, cols, rows]() {
-    util::ParallelFor(0, rows, RowGrain(3 * cols), [av, ov, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        float max_v = av[base];
-        for (int c = 1; c < cols; ++c) max_v = std::max(max_v, av[base + c]);
-        double denom = 0.0;
-        for (int c = 0; c < cols; ++c) {
-          ov[base + c] = std::exp(av[base + c] - max_v);
-          denom += ov[base + c];
-        }
-        for (int c = 0; c < cols; ++c) ov[base + c] /= static_cast<float>(denom);
+    for (int r = 0; r < rows; ++r) {
+      const size_t base = static_cast<size_t>(r) * cols;
+      float max_v = av[base];
+      for (int c = 1; c < cols; ++c) max_v = std::max(max_v, av[base + c]);
+      double denom = 0.0;
+      for (int c = 0; c < cols; ++c) {
+        ov[base + c] = std::exp(av[base + c] - max_v);
+        denom += ov[base + c];
       }
-    });
+      for (int c = 0; c < cols; ++c) ov[base + c] /= static_cast<float>(denom);
+    }
   };
   run();
   if (rec::Recording()) {
@@ -718,16 +650,14 @@ Tensor RowSoftmax(const Tensor& a) {
     const float* g = o->grad.data();
     const float* ov = o->values.data();
     float* ga = an->grad.data();
-    util::ParallelFor(0, o->rows, RowGrain(3 * cols), [g, ov, ga, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        double dot = 0.0;
-        for (int c = 0; c < cols; ++c) dot += g[base + c] * ov[base + c];
-        for (int c = 0; c < cols; ++c) {
-          ga[base + c] += ov[base + c] * (g[base + c] - static_cast<float>(dot));
-        }
+    for (int r = 0; r < o->rows; ++r) {
+      const size_t base = static_cast<size_t>(r) * cols;
+      double dot = 0.0;
+      for (int c = 0; c < cols; ++c) dot += g[base + c] * ov[base + c];
+      for (int c = 0; c < cols; ++c) {
+        ga[base + c] += ov[base + c] * (g[base + c] - static_cast<float>(dot));
       }
-    });
+    }
   });
   return Tensor::FromNode(out);
 }
@@ -739,17 +669,15 @@ Tensor RowLogSoftmax(const Tensor& a) {
   float* ov = out->values.data();
   const int rows = a.rows();
   auto run = [av, ov, cols, rows]() {
-    util::ParallelFor(0, rows, RowGrain(3 * cols), [av, ov, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        float max_v = av[base];
-        for (int c = 1; c < cols; ++c) max_v = std::max(max_v, av[base + c]);
-        double denom = 0.0;
-        for (int c = 0; c < cols; ++c) denom += std::exp(av[base + c] - max_v);
-        const float log_denom = max_v + static_cast<float>(std::log(denom));
-        for (int c = 0; c < cols; ++c) ov[base + c] = av[base + c] - log_denom;
-      }
-    });
+    for (int r = 0; r < rows; ++r) {
+      const size_t base = static_cast<size_t>(r) * cols;
+      float max_v = av[base];
+      for (int c = 1; c < cols; ++c) max_v = std::max(max_v, av[base + c]);
+      double denom = 0.0;
+      for (int c = 0; c < cols; ++c) denom += std::exp(av[base + c] - max_v);
+      const float log_denom = max_v + static_cast<float>(std::log(denom));
+      for (int c = 0; c < cols; ++c) ov[base + c] = av[base + c] - log_denom;
+    }
   };
   run();
   if (rec::Recording()) {
@@ -762,16 +690,14 @@ Tensor RowLogSoftmax(const Tensor& a) {
     const float* g = o->grad.data();
     const float* ov = o->values.data();
     float* ga = an->grad.data();
-    util::ParallelFor(0, o->rows, RowGrain(3 * cols), [g, ov, ga, cols](int64_t rb, int64_t re) {
-      for (int64_t r = rb; r < re; ++r) {
-        const size_t base = static_cast<size_t>(r) * cols;
-        double grad_sum = 0.0;
-        for (int c = 0; c < cols; ++c) grad_sum += g[base + c];
-        for (int c = 0; c < cols; ++c) {
-          ga[base + c] += g[base + c] - std::exp(ov[base + c]) * static_cast<float>(grad_sum);
-        }
+    for (int r = 0; r < o->rows; ++r) {
+      const size_t base = static_cast<size_t>(r) * cols;
+      double grad_sum = 0.0;
+      for (int c = 0; c < cols; ++c) grad_sum += g[base + c];
+      for (int c = 0; c < cols; ++c) {
+        ga[base + c] += g[base + c] - std::exp(ov[base + c]) * static_cast<float>(grad_sum);
       }
-    });
+    }
   });
   return Tensor::FromNode(out);
 }

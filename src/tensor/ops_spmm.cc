@@ -8,17 +8,14 @@
 #include "tensor/record.h"
 #include "tensor/simd.h"
 #include "tensor/sparse.h"
-#include "util/parallel.h"
 
 // The weighted CSR SpMM, the one aggregation kernel of every GNN layer. One
 // pass computes what the Gather -> RowScale -> ScatterAdd chain computes
-// without materializing the per-edge feature matrix. All loops follow the
-// owner-computes contract: the forward pass and d-weights partition over
-// output rows via the CSR view, dX partitions over input rows via the
-// precomputed transpose, so every float has exactly one writer and results
-// are bitwise-identical for any thread count. Within a row, nonzeros are
-// visited in increasing edge order and accumulated as multiply-then-add into
-// a zero-initialized accumulator — exactly the operation sequence of the
+// without materializing the per-edge feature matrix. The forward pass and
+// d-weights walk output rows through the CSR view, dX walks input rows
+// through the precomputed transpose. Within a row, nonzeros are visited in
+// increasing edge order and accumulated as multiply-then-add into a
+// zero-initialized accumulator — exactly the operation sequence of the
 // chain, which keeps the kernel bitwise-equal to that test oracle (no FMA
 // contraction on the baseline target; tests/prop/spmm_equivalence_test.cc).
 
@@ -27,14 +24,6 @@ namespace revelio::tensor {
 using internal::TensorNode;
 
 namespace {
-
-// Rows per chunk for an SpMM partitioned over `num_rows` rows with `nnz`
-// total nonzeros and `cols` features: per-row cost is the feature width times
-// the average degree (plus the pointer walk).
-int64_t SpmmGrain(int64_t num_rows, int64_t nnz, int64_t cols) {
-  const int64_t avg_degree = nnz / std::max<int64_t>(1, num_rows);
-  return RowGrain(cols * (1 + avg_degree));
-}
 
 void RecordSpmmMetrics(const CsrPattern& p, int cols) {
   static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("tensor.spmm.calls");
@@ -51,27 +40,23 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* o
   const int* row_ptr = p.row_ptr.data();
   const int* col_idx = p.col_idx.data();
   const int* edge_idx = p.edge_idx.data();
-  util::ParallelFor(0, p.num_rows, SpmmGrain(p.num_rows, p.nnz(), cols),
-                    [=](int64_t rb, int64_t re) {
-                      const bool use_simd = simd::Enabled();
-                      for (int64_t j = rb; j < re; ++j) {
-                        float* out_row = ov + static_cast<size_t>(j) * cols;
-                        // A replay finds the previous epoch's sums; zeroing the
-                        // row here (inside its owning chunk) preserves the
-                        // accumulator semantics and first-touch locality.
-                        std::fill(out_row, out_row + cols, 0.0f);
-                        for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
-                          const size_t xbase = static_cast<size_t>(col_idx[k]) * cols;
-                          const float w = wv[edge_idx[k]];
-                          if (use_simd) {
-                            simd::AxpyF32(w, xv + xbase, out_row, cols);
-                          } else {
-                            const float* x_row = xv + xbase;
-                            for (int c = 0; c < cols; ++c) out_row[c] += w * x_row[c];
-                          }
-                        }
-                      }
-                    });
+  const bool use_simd = simd::Enabled();
+  for (int j = 0; j < p.num_rows; ++j) {
+    float* out_row = ov + static_cast<size_t>(j) * cols;
+    // A replay finds the previous epoch's sums; zeroing the row first
+    // preserves the accumulator semantics.
+    std::fill(out_row, out_row + cols, 0.0f);
+    for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
+      const size_t xbase = static_cast<size_t>(col_idx[k]) * cols;
+      const float w = wv[edge_idx[k]];
+      if (use_simd) {
+        simd::AxpyF32(w, xv + xbase, out_row, cols);
+      } else {
+        const float* x_row = xv + xbase;
+        for (int c = 0; c < cols; ++c) out_row[c] += w * x_row[c];
+      }
+    }
+  }
 }
 
 // dX[i, :] += sum over transpose-column i of w[tedge_idx[k]] * g[trow_idx[k], :].
@@ -79,52 +64,44 @@ void SpmmBackwardX(const CsrPattern& p, const float* wv, const float* g, float* 
   const int* tcol_ptr = p.tcol_ptr.data();
   const int* trow_idx = p.trow_idx.data();
   const int* tedge_idx = p.tedge_idx.data();
-  util::ParallelFor(0, p.num_cols, SpmmGrain(p.num_cols, p.nnz(), cols),
-                    [=](int64_t ib, int64_t ie) {
-                      const bool use_simd = simd::Enabled();
-                      for (int64_t i = ib; i < ie; ++i) {
-                        float* gx_row = gx + static_cast<size_t>(i) * cols;
-                        for (int k = tcol_ptr[i]; k < tcol_ptr[i + 1]; ++k) {
-                          const float* g_row = g + static_cast<size_t>(trow_idx[k]) * cols;
-                          const float w = wv[tedge_idx[k]];
-                          if (use_simd) {
-                            simd::AxpyF32(w, g_row, gx_row, cols);
-                            continue;
-                          }
-                          for (int c = 0; c < cols; ++c) gx_row[c] += w * g_row[c];
-                        }
-                      }
-                    });
+  const bool use_simd = simd::Enabled();
+  for (int i = 0; i < p.num_cols; ++i) {
+    float* gx_row = gx + static_cast<size_t>(i) * cols;
+    for (int k = tcol_ptr[i]; k < tcol_ptr[i + 1]; ++k) {
+      const float* g_row = g + static_cast<size_t>(trow_idx[k]) * cols;
+      const float w = wv[tedge_idx[k]];
+      if (use_simd) {
+        simd::AxpyF32(w, g_row, gx_row, cols);
+        continue;
+      }
+      for (int c = 0; c < cols; ++c) gx_row[c] += w * g_row[c];
+    }
+  }
 }
 
-// dW[edge_idx[k]] += <g[row of k, :], x[col_idx[k], :]>. Partitioned over
-// output rows; every edge id appears exactly once in the pattern, so each
-// grad slot has a single writer.
+// dW[edge_idx[k]] += <g[row of k, :], x[col_idx[k], :]>. Every edge id
+// appears exactly once in the pattern, so each grad slot is written once.
 void SpmmBackwardW(const CsrPattern& p, const float* g, const float* xv, float* gw, int cols) {
   const int* row_ptr = p.row_ptr.data();
   const int* col_idx = p.col_idx.data();
   const int* edge_idx = p.edge_idx.data();
-  util::ParallelFor(0, p.num_rows, SpmmGrain(p.num_rows, p.nnz(), cols),
-                    [=](int64_t rb, int64_t re) {
-                      // The SIMD dot is the shared DotF32 reduction (ulp-
-                      // bounded class) — the same kernel RowScale's dscale
-                      // uses, so the kernel-vs-chain backward identity stays
-                      // bitwise.
-                      const bool use_simd = simd::Enabled();
-                      for (int64_t j = rb; j < re; ++j) {
-                        const float* g_row = g + static_cast<size_t>(j) * cols;
-                        for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
-                          const float* x_row = xv + static_cast<size_t>(col_idx[k]) * cols;
-                          if (use_simd) {
-                            gw[edge_idx[k]] += simd::DotF32(g_row, x_row, cols);
-                            continue;
-                          }
-                          float acc = 0.0f;
-                          for (int c = 0; c < cols; ++c) acc += g_row[c] * x_row[c];
-                          gw[edge_idx[k]] += acc;
-                        }
-                      }
-                    });
+  // The SIMD dot is the shared DotF32 reduction (ulp-bounded class) — the
+  // same kernel RowScale's dscale uses, so the kernel-vs-chain backward
+  // identity stays bitwise.
+  const bool use_simd = simd::Enabled();
+  for (int j = 0; j < p.num_rows; ++j) {
+    const float* g_row = g + static_cast<size_t>(j) * cols;
+    for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
+      const float* x_row = xv + static_cast<size_t>(col_idx[k]) * cols;
+      if (use_simd) {
+        gw[edge_idx[k]] += simd::DotF32(g_row, x_row, cols);
+        continue;
+      }
+      float acc = 0.0f;
+      for (int c = 0; c < cols; ++c) acc += g_row[c] * x_row[c];
+      gw[edge_idx[k]] += acc;
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "tensor/op_helpers.h"
-#include "util/parallel.h"
-
 namespace revelio::tensor::rec {
 
 namespace detail {
@@ -36,10 +33,7 @@ void RecordElementwise(const char* name, std::shared_ptr<internal::TensorNode> o
   op.out = std::move(out);
   op.inputs = std::move(inputs);
   op.numel = numel;
-  op.replay = [chunk, numel]() {
-    util::ParallelFor(0, numel, kElementwiseGrain,
-                      [&chunk](int64_t begin, int64_t end) { chunk(begin, end); });
-  };
+  op.replay = [chunk, numel]() { chunk(0, numel); };
   op.chunk = std::move(chunk);
   tape->ops.push_back(std::move(op));
 }

@@ -13,13 +13,12 @@
 //
 // Elementwise ops additionally expose their per-chunk kernel (ChunkFn over
 // the flat index space), which lets the plan compiler fuse consecutive
-// same-extent elementwise ops into a single parallel sweep. A chunked
-// kernel must write out[i] only from inputs at the same flat index i.
+// same-extent elementwise ops into one step. A chunked kernel must write
+// out[i] only from inputs at the same flat index i.
 //
 // The recorded closures re-run the exact float expressions of the eager
 // kernels (they are the same lambdas), so replay is bitwise-equal to eager
-// execution at any thread count — the contract proven by
-// tests/prop/plan_equivalence_test.cc.
+// execution — the contract proven by tests/prop/plan_equivalence_test.cc.
 
 #include <cstdint>
 #include <functional>

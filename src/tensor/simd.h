@@ -37,11 +37,10 @@
 //    bitwise.
 //
 // Tail handling: every kernel processes floor(n / Lanes()) full vectors and
-// finishes the remainder with the scalar expression. Owner-computes
-// partitioning (DESIGN.md "Parallel execution") is per-element, so chunk
-// boundaries falling inside a vector simply shift which iterations are
-// vector-bodied vs tail — the computed bits are unchanged at any thread
-// count or shape (regression: tests/parallel_test.cc, odd-shape cases).
+// finishes the remainder with the scalar expression. Every expression is
+// per-element, so where the vector body ends changes which iterations are
+// vector-bodied vs tail but not the computed bits, at any shape
+// (regression: tests/parallel_test.cc, odd-shape cases).
 //
 // Observability: call sites report sweep shapes via CountSweep, which feeds
 // the tensor.simd.{lanes,vector_ops,scalar_tail} counters (vector bodies

@@ -11,8 +11,8 @@
 // attention flow through the same kernel.
 //
 // The transposed (CSC) view is precomputed alongside the forward CSR so
-// reverse-mode SpMM can partition over *input* rows with the same
-// owner-computes determinism contract as the forward pass. Patterns are
+// reverse-mode SpMM can walk *input* rows and accumulate each one in a fixed
+// order, as the forward pass does for output rows. Patterns are
 // immutable after construction and shared by shared_ptr between layer-edge
 // sets and autograd closures (backward functions capture the ref,
 // so a pattern outlives every forward graph built on it).

@@ -148,28 +148,15 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   const int num_chunks =
       static_cast<int>(std::min<int64_t>(NumThreads(), max_chunks));
   if (num_chunks <= 1 || tls_in_parallel_region) {
-    // Serial fallback. Still marks the region so kernels called from fn do
-    // not try to parallelize underneath a serial decision.
-    static obs::Counter* serial_fallbacks = [] {
-      obs::Counter* counter =
-          obs::MetricsRegistry::Global().GetCounter("parallel.serial_fallback");
-      // Inside instance-parallel explanation every kernel call lands here, a
-      // tick cheaper than a flight-ring record: keep it out of the ring.
-      counter->DisableFlightRecording();
-      return counter;
-    }();
+    // Serial fallback: the caller runs fn itself, with no worker span and no
+    // worker busy time, so profiles charge it to the caller's own spans. It
+    // still marks the region so a ParallelFor nested in fn stays serial too.
+    static obs::Counter* serial_fallbacks =
+        obs::MetricsRegistry::Global().GetCounter("parallel.serial_fallback");
     serial_fallbacks->Increment();
     const bool prev = tls_in_parallel_region;
     tls_in_parallel_region = true;
-    {
-      // The degenerate one-task execution; traced under the same span name
-      // as pool tasks so profiles cover both paths.
-      obs::ScopedSpan span("ParallelFor.worker", obs::FlightPolicy::kSkip);
-      fn(begin, end);
-      if (obs::Enabled()) {
-        WorkerBusyCounter()->Add(static_cast<uint64_t>(span.ElapsedSeconds() * 1e6));
-      }
-    }
+    fn(begin, end);
     tls_in_parallel_region = prev;
     return;
   }

@@ -1,24 +1,24 @@
 #ifndef REVELIO_UTIL_PARALLEL_H_
 #define REVELIO_UTIL_PARALLEL_H_
 
-// Shared thread pool and ParallelFor for the tensor kernels and the
-// per-instance evaluation loops.
+// Shared thread pool and ParallelFor for the one parallel axis: explanation
+// instances side by side (explain::Explainer::ExplainBatch, and through it
+// eval::ExplainAll and the serve workers). Tensor kernels and plan replay do
+// not fork: an explanation's tensors are tens to hundreds of rows, too small
+// to pay for a fork/join, so a lone explanation runs serially on its own
+// thread (see DESIGN.md "Parallel execution").
 //
 // Thread count resolution (first match wins):
 //   1. SetNumThreads(n)            — CLI flags (`--threads` in the benches)
 //   2. REVELIO_NUM_THREADS env var — deployment knob
 //   3. std::thread::hardware_concurrency()
 //
-// Determinism contract: every parallel kernel in this repo partitions its
-// OUTPUT range so each element is written by exactly one chunk, and the
-// accumulation order within an element matches the serial loop. Results are
-// therefore bitwise-identical for any thread count, including the n == 1
-// serial fallback (see DESIGN.md "Parallel execution").
+// Determinism contract: each instance is computed by one thread, start to
+// finish, so results are bitwise-identical for any thread count.
 //
-// ParallelFor calls issued from inside a running ParallelFor chunk (nested
-// parallelism, e.g. a parallel tensor kernel inside a parallel per-instance
-// explanation) execute serially on the calling thread, so the pool never
-// deadlocks on itself and thread budgets are not multiplied.
+// ParallelFor calls issued from inside a running ParallelFor chunk execute
+// serially on the calling thread, so the pool never deadlocks on itself and
+// thread budgets are not multiplied.
 
 #include <cstdint>
 #include <functional>

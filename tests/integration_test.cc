@@ -65,12 +65,12 @@ TEST_F(BaShapesIntegration, RevelioRecoversMotifEdges) {
   options.epochs = 100;
   core::RevelioExplainer revelio(options);
   const double auc =
-      eval::RunAuc(&revelio, *prepared_, *instances_, explain::Objective::kFactual);
+      eval::RunAuc(&revelio, *prepared_, *instances_, explain::Objective::kFactual).mean_auc;
   EXPECT_GT(auc, 0.7) << "paper Table IV: 0.783 for Revelio/GCN/BA-Shapes";
 
   explain::RandomExplainer random(3);
   const double random_auc =
-      eval::RunAuc(&random, *prepared_, *instances_, explain::Objective::kFactual);
+      eval::RunAuc(&random, *prepared_, *instances_, explain::Objective::kFactual).mean_auc;
   EXPECT_GT(auc, random_auc + 0.1);
 }
 
@@ -113,7 +113,7 @@ TEST(MutagIntegration, GinExplanationFindsFunctionalGroupAndBeatsRandom) {
   options.epochs = 80;
   core::RevelioExplainer revelio(options);
   const double auc =
-      eval::RunAuc(&revelio, prepared, instances, explain::Objective::kFactual);
+      eval::RunAuc(&revelio, prepared, instances, explain::Objective::kFactual).mean_auc;
   EXPECT_GT(auc, 0.6);
 
   // Factual fidelity at high sparsity: Revelio's kept edges preserve the

@@ -289,6 +289,37 @@ TEST_F(ObsTest, SpansAcrossParallelForThreads) {
   EXPECT_GE(workers, 1);
 }
 
+TEST_F(ObsTest, SerialFallbackRecordsNoWorkerSpan) {
+  // At 1 thread ParallelFor runs fn on the caller: no "ParallelFor.worker"
+  // span and no worker busy time, so the caller's own spans own the work.
+  obs::SetEnabled(true);
+  util::SetNumThreads(1);
+  obs::TraceRecorder::Global().Clear();
+  obs::Counter* busy = obs::MetricsRegistry::Global().GetCounter("parallel.worker_busy_us");
+  const uint64_t busy_before = busy->Total();
+  {
+    obs::ScopedSpan caller("test.caller");
+    util::ParallelFor(0, 16, 1, [](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        obs::ScopedSpan span("test.task");
+        volatile double sink = 0.0;
+        for (int k = 0; k < 20000; ++k) sink = sink + k;
+        (void)sink;
+      }
+    });
+  }
+  int tasks = 0;
+  for (const auto& event : obs::TraceRecorder::Global().Consolidated()) {
+    EXPECT_NE(event.name, "ParallelFor.worker");
+    if (event.name == "test.task") {
+      ++tasks;
+      EXPECT_EQ(event.depth, 1) << "task spans nest directly under the caller's span";
+    }
+  }
+  EXPECT_EQ(tasks, 16);
+  EXPECT_EQ(busy->Total(), busy_before);
+}
+
 TEST_F(ObsTest, EventCapCountsDropped) {
   obs::SetEnabled(true);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();

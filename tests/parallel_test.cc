@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/revelio.h"
 #include "gnn/model.h"
 #include "gnn/trainer.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
+#include "plan/plan.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -303,6 +306,81 @@ TEST_F(ParallelTest, GcnTrainingStepBitwiseIdentical) {
   for (int threads : {2, 4}) {
     EXPECT_EQ(RunWithThreads(threads, compute), serial) << threads << " threads";
   }
+}
+
+// --- One parallel axis: instances, never kernels ---------------------------
+
+// Counts pool dispatches (ParallelFor calls that forked) made while `run`
+// executes. Counters only count with telemetry on.
+template <typename Fn>
+uint64_t DispatchesDuring(Fn run) {
+  obs::Counter* dispatches = obs::MetricsRegistry::Global().GetCounter("parallel.dispatches");
+  const uint64_t before = dispatches->Total();
+  run();
+  return dispatches->Total() - before;
+}
+
+TEST_F(ParallelTest, OnlyInstanceParallelBatchesDispatchToThePool) {
+  // Explanation-sized tensors: a 40-node graph with 32-wide hidden layers.
+  util::Rng rng(21);
+  const int nodes = 40;
+  graph::Graph g(nodes);
+  for (int v = 1; v < nodes; ++v) g.AddUndirectedEdge(v, rng.UniformInt(v));
+  gnn::GnnConfig config;
+  config.arch = gnn::GnnArch::kGcn;
+  config.input_dim = 16;
+  config.hidden_dim = 32;
+  config.num_classes = 3;
+  gnn::GnnModel model(config);
+  model.Freeze();
+  const tensor::Tensor features = tensor::Tensor::Randn(nodes, config.input_dim, &rng);
+  std::vector<explain::ExplanationTask> tasks(4);
+  for (int i = 0; i < 4; ++i) {
+    tasks[i].model = &model;
+    tasks[i].graph = &g;
+    tasks[i].features = features;
+    tasks[i].target_node = i;
+  }
+  core::RevelioOptions options;
+  options.epochs = 3;  // epoch 0 records the plan, epochs 1-2 replay it
+  core::RevelioExplainer revelio(options);
+
+  obs::SetEnabled(true);
+  const bool plans_were_on = plan::ExecPlanEnabled();
+  plan::SetExecPlanEnabled(true);
+  util::SetNumThreads(4);
+  obs::Counter* replays = obs::MetricsRegistry::Global().GetCounter("plan.replays");
+  const uint64_t replays_before = replays->Total();
+
+  explain::Explanation lone;
+  EXPECT_EQ(DispatchesDuring(
+                [&] { lone = revelio.Explain(tasks[0], explain::Objective::kFactual); }),
+            0u)
+      << "a lone Explain forks inside its kernels or plan replay";
+  ASSERT_TRUE(lone.status.ok()) << lone.status.ToString();
+  EXPECT_GE(replays->Total() - replays_before, 2u) << "the plan was never replayed";
+
+  std::vector<explain::Explanation> single;
+  EXPECT_EQ(DispatchesDuring([&] {
+              single = revelio.ExplainBatch({&tasks[0]}, explain::Objective::kFactual);
+            }),
+            0u)
+      << "a one-task batch forks";
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(single[0].edge_scores, lone.edge_scores);
+
+  std::vector<explain::Explanation> batch;
+  EXPECT_GE(DispatchesDuring([&] {
+              batch = revelio.ExplainBatch({&tasks[0], &tasks[1], &tasks[2], &tasks[3]},
+                                           explain::Objective::kFactual);
+            }),
+            1u)
+      << "a 4-task batch at 4 threads must run its instances side by side";
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch[0].edge_scores, lone.edge_scores);
+
+  plan::SetExecPlanEnabled(plans_were_on);
+  obs::SetEnabled(false);
 }
 
 }  // namespace

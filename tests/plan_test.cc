@@ -1,5 +1,5 @@
 // Unit tests for the recorded-execution-plan subsystem (src/plan): tape
-// recording, plan compilation (fusion, levels), PlanSession replay
+// recording, plan compilation (fusion), PlanSession replay
 // semantics (global version bump, stable buffers), and the
 // plan.* observability counters. The whole-loop differential proof lives in
 // tests/prop/plan_equivalence_test.cc; these tests pin the mechanism.

@@ -1,9 +1,9 @@
 // Determinism: with a fixed util::Rng seed, the training loss curve and the
 // Revelio flow ranking are bitwise-identical across two independent runs and
 // across thread counts 1 vs 4 (the CLI's --threads flag maps onto
-// util::SetNumThreads). This pins the repo-wide determinism contract: every
-// parallel kernel partitions its OUTPUT range, so results never depend on
-// the thread count. The batch entry points (eval::ExplainAll,
+// util::SetNumThreads). This pins the repo-wide determinism contract: each
+// instance runs on one thread and every kernel accumulates in a fixed serial
+// order, so results never depend on the thread count. The batch entry points (eval::ExplainAll,
 // Explainer::ExplainBatch) are held to the same contract: every slot equals
 // a per-task Explain bitwise, whatever the thread count.
 

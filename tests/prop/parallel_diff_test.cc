@@ -1,9 +1,8 @@
-// Parallel-vs-serial differential: every ParallelFor'd kernel (all tensor
-// ops, forward AND backward) must produce bitwise-identical results across
-// thread counts {1, 2, 7, 16}. Large-shape op cases are sized past the
-// kernels' parallelization grains so multi-chunk dispatch is genuinely
-// exercised; small and degenerate shapes ride along to pin the serial
-// fallback path to the same contract.
+// Thread-count differential: every tensor op (forward AND backward) must
+// produce bitwise-identical results across thread counts {1, 2, 7, 16}.
+// Kernels run serially on the calling thread, so this pins that no kernel
+// result depends on the thread-count setting; large, small and degenerate
+// shapes all ride along.
 
 #include <cstring>
 #include <string>

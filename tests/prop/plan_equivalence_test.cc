@@ -4,7 +4,7 @@
 // with every recorded output NaN-filled before the replay. The differential
 // harness trains full mini-GNN explanations both ways and compares every
 // score; the validity suite checks the structural properties every compiled
-// plan must satisfy (topological step order and levels, stable buffers,
+// plan must satisfy (topological step order, stable buffers,
 // a global version bump forcing a re-record) over randomly generated tensor
 // programs via util::proptest.
 
@@ -295,8 +295,8 @@ TEST_F(PlanEquivalenceTest, ReplayEqualsEagerOnRandomGraphs) {
 
 // A small random tensor program: `branches` independent chains of `depth`
 // elementwise steps over a (rows x cols) parameter, mixed through a MatMul,
-// reduced to a scalar. Gives plans with real fusion runs, multiple levels,
-// and independent same-level subgraphs.
+// reduced to a scalar. Gives plans with real fusion runs and independent
+// subgraphs.
 struct ProgramSpec {
   int rows = 2;
   int cols = 2;
@@ -361,8 +361,8 @@ Tensor RecordProgram(const ProgramSpec& spec, const Tensor& param,
 }
 
 // Structural validity: every compiled plan's steps partition the tape in
-// order and levels are topologically consistent.
-TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidLevels) {
+// order, and that order is topological.
+TEST_F(PlanEquivalenceTest, CompiledPlansPartitionTheTapeInTopologicalOrder) {
   util::SetNumThreads(1);
   const util::CheckResult result = util::ForAll<ProgramSpec>(
       "plan_validity", ProgramDomain(),
@@ -391,24 +391,12 @@ TEST_F(PlanEquivalenceTest, CompiledPlansAreTopologicalWithValidLevels) {
         }
         if (next_op != static_cast<int>(ops.size())) return "steps missed tape ops";
 
-        // Topological levels: every recorded input's producer sits at a
-        // strictly lower level.
-        std::vector<int> producer_level(ops.size(), -1);
-        for (const auto& step : plan->steps()) {
-          for (int op : step.op_indices) producer_level[op] = step.level;
-        }
-        for (const auto& step : plan->steps()) {
-          for (int op : step.op_indices) {
-            for (const auto& input : ops[op].inputs) {
-              for (size_t other = 0; other < ops.size(); ++other) {
-                const bool in_step = producer_level[other] == step.level &&
-                                     std::find(step.op_indices.begin(), step.op_indices.end(),
-                                               static_cast<int>(other)) != step.op_indices.end();
-                if (ops[other].out.get() == input.get() && !in_step &&
-                    producer_level[other] >= step.level) {
-                  return "producer not at a lower level";
-                }
-              }
+        // Topological order: replay runs the steps in tape order, so every
+        // recorded input's producer must come strictly earlier in the tape.
+        for (size_t op = 0; op < ops.size(); ++op) {
+          for (const auto& input : ops[op].inputs) {
+            for (size_t other = op; other < ops.size(); ++other) {
+              if (ops[other].out.get() == input.get()) return "producer not before its consumer";
             }
           }
         }

@@ -220,9 +220,8 @@ struct OpCase {
 
 // Builds the full case list. Index arguments (gather/scatter/segment ids,
 // NllLoss targets) are drawn from `seed`. When `include_large` is true, adds
-// large-shape instances (fd_checkable = false) sized past the kernels'
-// parallelization grains so the thread-differential suite actually exercises
-// multi-chunk ParallelFor dispatch.
+// large-shape instances (fd_checkable = false) so the thread-differential
+// and NaN-prefill suites also cover long kernel sweeps.
 std::vector<OpCase> MakeOpCases(uint64_t seed, bool include_large);
 
 // Runs `c` end to end at deterministic values: builds inputs from
