@@ -339,7 +339,7 @@ void RunSimdSweep(bool quick, std::vector<SimdPoint>* points) {
   util::SetNumThreads(1);
   util::Rng rng(41);
 
-  // Elementwise: the fused plan-replay chunk shape (add -> mul -> relu).
+  // Elementwise: a plan-replayed elementwise chain (add -> mul -> relu).
   const std::vector<int64_t> ew_sizes =
       quick ? std::vector<int64_t>{1 << 12, 1 << 16} : std::vector<int64_t>{1 << 12, 1 << 18};
   for (const int64_t n : ew_sizes) {

@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
   // --plan-sweep FILE: measure the recorded-execution-plan replay path
   // (REVELIO_EXEC_PLAN, DESIGN.md section 12) against the fully eager loop at
   // increasing epoch counts. Epoch 0 records the tape either way; every
-  // further epoch replays it (fused elementwise chains, steps in tape
-  // order, no allocation), so the speedup grows as the record cost
+  // further epoch replays it (recorded kernels in tape order, no
+  // allocation), so the speedup grows as the record cost
   // amortizes — the largest epoch count is the gated point. Every point must
   // stay bitwise-equal. Run with --threads 1 for the paper comparison.
   const std::string plan_sweep_out = flags.GetString("plan-sweep", "");

@@ -22,16 +22,6 @@ std::atomic<uint64_t>& GlobalVersionCounter() {
   return version;
 }
 
-// Runs one plan step: a fused run sweeps every member chunk over the whole
-// flat range in tape order; a plain step re-runs its recorded closure.
-void ExecuteStep(const tensor::rec::OpTape& tape, const PlanStep& step) {
-  if (step.fused) {
-    for (int idx : step.op_indices) tape.ops[idx].chunk(0, step.numel);
-  } else {
-    tape.ops[step.op_indices[0]].replay();
-  }
-}
-
 }  // namespace
 
 bool ExecPlanEnabled() { return ExecPlanFlag().load(std::memory_order_relaxed); }
@@ -46,38 +36,6 @@ uint64_t GlobalPlanVersion() {
 
 void BumpGlobalPlanVersion() {
   GlobalVersionCounter().fetch_add(1, std::memory_order_relaxed);
-}
-
-std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape) {
-  CHECK(tape != nullptr);
-  auto plan = std::make_unique<Plan>();
-  const auto& ops = tape->ops;
-  const int n = static_cast<int>(ops.size());
-  plan->num_ops_ = n;
-
-  // Fusion: maximal runs of consecutive tape ops that expose a chunk kernel
-  // with the same flat extent. The members run in tape order, so the fused
-  // sweep is bitwise-equal to the op-by-op replay.
-  int i = 0;
-  while (i < n) {
-    PlanStep step;
-    step.op_indices.push_back(i);
-    if (ops[i].chunk) {
-      int j = i + 1;
-      while (j < n && ops[j].chunk && ops[j].numel == ops[i].numel) {
-        step.op_indices.push_back(j);
-        ++j;
-      }
-    }
-    if (step.op_indices.size() > 1) {
-      step.fused = true;
-      step.numel = ops[i].numel;
-      plan->fused_ops_ += static_cast<int>(step.op_indices.size());
-    }
-    i += static_cast<int>(step.op_indices.size());
-    plan->steps_.push_back(std::move(step));
-  }
-  return plan;
 }
 
 PlanSession::~PlanSession() { Invalidate(); }
@@ -100,7 +58,6 @@ void PlanSession::Seal(const tensor::Tensor& root) {
   obs::ScopedSpan span("plan.seal", obs::FlightPolicy::kSkip);
   root_ = root;
   global_version_ = GlobalPlanVersion();
-  plan_ = BuildPlan(&tape_);
   backward_order_.clear();
   grad_nodes_.clear();
   if (root.node()->requires_grad) {
@@ -111,14 +68,12 @@ void PlanSession::Seal(const tensor::Tensor& root) {
   }
   static obs::Counter* records = obs::MetricsRegistry::Global().GetCounter("plan.records");
   static obs::Counter* steps = obs::MetricsRegistry::Global().GetCounter("plan.steps");
-  static obs::Counter* fused = obs::MetricsRegistry::Global().GetCounter("plan.fused_ops");
   records->Increment();
-  steps->Add(plan_->steps().size());
-  fused->Add(static_cast<uint64_t>(plan_->fused_ops()));
+  steps->Add(tape_.ops.size());
 }
 
 bool PlanSession::Replay() {
-  if (plan_ == nullptr) return false;
+  if (!sealed()) return false;
   if (global_version_ != GlobalPlanVersion()) {
     static obs::Counter* invalidations =
         obs::MetricsRegistry::Global().GetCounter("plan.invalidations");
@@ -128,8 +83,8 @@ bool PlanSession::Replay() {
   }
   obs::ScopedSpan span("plan.replay", obs::FlightPolicy::kSkip);
 
-  // Forward: steps in tape order, a topological order of the recorded ops.
-  for (const PlanStep& step : plan_->steps()) ExecuteStep(tape_, step);
+  // Forward: tape order, a topological order of the recorded ops.
+  for (const auto& op : tape_.ops) op.replay();
 
   // Backward: fresh grads for every tape node (leaf grads belong to the
   // optimizer), seed the root, then the cached order — exactly what an
@@ -155,7 +110,6 @@ void PlanSession::Invalidate() {
   if (root_.defined()) root_.ReleaseTape();
   root_ = tensor::Tensor();
   tape_.ops.clear();
-  plan_.reset();
   backward_order_.clear();
   grad_nodes_.clear();
 }

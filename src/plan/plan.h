@@ -5,13 +5,13 @@
 //
 // The explanation inner loops are shape-stable across optimizer epochs, so
 // after recording one epoch's op tape (tensor/record.h) the remaining
-// epochs replay through a compiled Plan instead of re-dispatching the eager
-// ops: consecutive same-extent elementwise ops are fused into one step, the
-// steps run serially in tape order on the calling thread, and nothing is
-// allocated: the tape pins every node, so each kernel reruns on the buffer
-// the previous epoch left behind. The backward pass replays through the node
-// order cached at seal time — the exact order Tensor::Backward would compute
-// — so a replayed epoch is bitwise-identical to an eager one.
+// epochs replay the tape instead of re-dispatching the eager ops: each
+// recorded kernel reruns serially in tape order on the calling thread, and
+// nothing is allocated: the tape pins every node, so each kernel reruns on
+// the buffer the previous epoch left behind. The backward pass replays
+// through the node order cached at seal time — the exact order
+// Tensor::Backward would compute — so a replayed epoch is bitwise-identical
+// to an eager one.
 //
 // The one training loop that records and replays plans is
 // explain::LearnMasks (explain/mask_learning.h); a session lives for one
@@ -24,10 +24,9 @@
 //
 // Re-record trigger: a BumpGlobalPlanVersion() call (fault injection, global
 // invalidation) makes Replay() return false after discarding the stale
-// plan; the caller then records a fresh epoch.
+// tape; the caller then records a fresh epoch.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "tensor/record.h"
@@ -45,36 +44,8 @@ void SetExecPlanEnabled(bool enabled);
 uint64_t GlobalPlanVersion();
 void BumpGlobalPlanVersion();
 
-// One executable unit: a single tape op, or a fused run of consecutive
-// same-extent elementwise ops executed as one sweep.
-struct PlanStep {
-  std::vector<int> op_indices;  // tape indices, in tape order
-  bool fused = false;
-  int64_t numel = 0;  // flat extent shared by a fused run
-};
-
-class Plan {
- public:
-  // Steps in tape order, which is a topological order of the data flow.
-  const std::vector<PlanStep>& steps() const { return steps_; }
-  int num_ops() const { return num_ops_; }
-  // Ops that were folded into multi-op fused steps.
-  int fused_ops() const { return fused_ops_; }
-
- private:
-  friend std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
-
-  std::vector<PlanStep> steps_;
-  int num_ops_ = 0;
-  int fused_ops_ = 0;
-};
-
-// Compiles a recorded tape: fuses maximal runs of consecutive same-extent
-// elementwise ops. The tape must outlive the plan (steps index into it).
-std::unique_ptr<Plan> BuildPlan(const tensor::rec::OpTape* tape);
-
-// Owns one training loop's recorded tape, compiled plan, and cached backward
-// order. Usage per epoch:
+// Owns one training loop's recorded tape and cached backward order. Usage
+// per epoch:
 //
 //   if (!use_plan || !session.Replay()) {
 //     { PlanSession::RecordScope record(use_plan ? &session : nullptr);
@@ -107,27 +78,25 @@ class PlanSession {
     bool installed_ = false;
   };
 
-  // Compiles the recorded tape against `root` (the scalar loss) and caches
-  // the backward order.
+  // Seals the recorded tape against `root` (the scalar loss) and caches the
+  // backward order.
   void Seal(const tensor::Tensor& root);
 
-  // Re-executes the sealed plan (forward in step order, then the cached
+  // Re-executes the sealed tape (forward in tape order, then the cached
   // backward order) and returns true. Returns false — after discarding the
-  // stale plan — when no plan is sealed or the global plan version moved
+  // stale tape — when nothing is sealed or the global plan version moved
   // since the seal; the caller must re-record.
   bool Replay();
 
-  // Drops the plan, tape, and cached orders, severing the retained autograd
-  // tape so intermediates are freed.
+  // Drops the tape and cached orders, severing the retained autograd tape so
+  // intermediates are freed.
   void Invalidate();
 
-  bool sealed() const { return plan_ != nullptr; }
-  const Plan* plan() const { return plan_.get(); }
+  bool sealed() const { return root_.defined(); }
   const tensor::rec::OpTape& tape() const { return tape_; }
 
  private:
   tensor::rec::OpTape tape_;
-  std::unique_ptr<Plan> plan_;
   tensor::Tensor root_;
   uint64_t global_version_ = 0;
   // Backward order cached at seal (post-order; run in reverse), and the

@@ -25,10 +25,10 @@
 // SIMD (DESIGN.md §13): kernel bodies dispatch to the tensor/simd.h kernels
 // when simd::Enabled(), falling back to the scalar loops below otherwise.
 // The dispatch lives INSIDE the kernel lambdas, so recorded tapes honor the
-// runtime toggle on replay and fused elementwise chains vectorize through
-// the same kernels. Vectorized bodies are bitwise-equal to the scalar loops
-// (mul-then-add per element in the same order), MatMul's dA included; the
-// ulp-bounded DotF32 reductions live in ops_spmm.cc and ops_index.cc.
+// runtime toggle on replay. Vectorized bodies are bitwise-equal to the
+// scalar loops (mul-then-add per element in the same order), MatMul's dA
+// included; the ulp-bounded DotF32 reductions live in ops_spmm.cc and
+// ops_index.cc.
 // Transcendental forwards (Tanh/Sigmoid/Exp/Log/Softplus) stay scalar: libm
 // is not lane-invariant, and they are compute- not bandwidth-bound.
 
@@ -42,17 +42,18 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, bv, ov](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, bv, ov, n]() {
     if (simd::Enabled()) {
-      simd::AddF32(av + begin, bv + begin, ov + begin, end - begin);
+      simd::AddF32(av, bv, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] + bv[i];
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] + bv[i];
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("Add", out, {a.node(), b.node()}, out->numel(), chunk);
+    rec::Record("Add", out, {a.node(), b.node()}, run);
   }
   AttachBackward(out, {a, b}, [](TensorNode* o) {
     AccumulateInto(o->parents[0].get(), o->grad, 1.0f);
@@ -67,17 +68,18 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, bv, ov](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, bv, ov, n]() {
     if (simd::Enabled()) {
-      simd::SubF32(av + begin, bv + begin, ov + begin, end - begin);
+      simd::SubF32(av, bv, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] - bv[i];
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] - bv[i];
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("Sub", out, {a.node(), b.node()}, out->numel(), chunk);
+    rec::Record("Sub", out, {a.node(), b.node()}, run);
   }
   AttachBackward(out, {a, b}, [](TensorNode* o) {
     AccumulateInto(o->parents[0].get(), o->grad, 1.0f);
@@ -92,17 +94,18 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, bv, ov](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, bv, ov, n]() {
     if (simd::Enabled()) {
-      simd::MulF32(av + begin, bv + begin, ov + begin, end - begin);
+      simd::MulF32(av, bv, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * bv[i];
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] * bv[i];
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("Mul", out, {a.node(), b.node()}, out->numel(), chunk);
+    rec::Record("Mul", out, {a.node(), b.node()}, run);
   }
   AttachBackward(out, {a, b}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -182,17 +185,18 @@ Tensor AddScalar(const Tensor& a, float s) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov, s](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, ov, s, n]() {
     if (simd::Enabled()) {
-      simd::AddScalarF32(av + begin, s, ov + begin, end - begin);
+      simd::AddScalarF32(av, s, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] + s;
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] + s;
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("AddScalar", out, {a.node()}, out->numel(), chunk);
+    rec::Record("AddScalar", out, {a.node()}, run);
   }
   AttachBackward(out, {a},
                  [](TensorNode* o) { AccumulateInto(o->parents[0].get(), o->grad, 1.0f); });
@@ -203,17 +207,18 @@ Tensor MulScalar(const Tensor& a, float s) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov, s](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, ov, s, n]() {
     if (simd::Enabled()) {
-      simd::MulScalarF32(av + begin, s, ov + begin, end - begin);
+      simd::MulScalarF32(av, s, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * s;
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] * s;
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("MulScalar", out, {a.node()}, out->numel(), chunk);
+    rec::Record("MulScalar", out, {a.node()}, run);
   }
   AttachBackward(out, {a},
                  [s](TensorNode* o) { AccumulateInto(o->parents[0].get(), o->grad, s); });
@@ -227,22 +232,22 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  // The scalar is read through its node buffer inside the chunk (not hoisted
+  // The scalar is read through its node buffer inside the kernel (not hoisted
   // by value): on plan replay the scale has been re-trained since recording.
   const float* sv = scalar.values().data();
-  auto chunk = [av, ov, sv](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, ov, sv, n]() {
     const float s = sv[0];
     if (simd::Enabled()) {
-      simd::MulScalarF32(av + begin, s, ov + begin, end - begin);
+      simd::MulScalarF32(av, s, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] * s;
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] * s;
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("ScaleByScalarTensor", out, {a.node(), scalar.node()}, out->numel(),
-                           chunk);
+    rec::Record("ScaleByScalarTensor", out, {a.node(), scalar.node()}, run);
   }
   AttachBackward(out, {a, scalar}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -275,17 +280,18 @@ Tensor Relu(const Tensor& a) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, ov, n]() {
     if (simd::Enabled()) {
-      simd::ReluF32(av + begin, ov + begin, end - begin);
+      simd::ReluF32(av, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) ov[i] = av[i] > 0.0f ? av[i] : 0.0f;
+    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] > 0.0f ? av[i] : 0.0f;
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("Relu", out, {a.node()}, out->numel(), chunk);
+    rec::Record("Relu", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -310,19 +316,20 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov, negative_slope](int64_t begin, int64_t end) {
+  const int64_t n = out->numel();
+  auto run = [av, ov, negative_slope, n]() {
     if (simd::Enabled()) {
-      simd::LeakyReluF32(av + begin, negative_slope, ov + begin, end - begin);
+      simd::LeakyReluF32(av, negative_slope, ov, n);
       return;
     }
-    for (int64_t i = begin; i < end; ++i) {
+    for (int64_t i = 0; i < n; ++i) {
       ov[i] = av[i] > 0.0f ? av[i] : negative_slope * av[i];
     }
   };
-  chunk(0, out->numel());
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  run();
+  if (simd::Enabled()) simd::CountSweep(n);
   if (rec::Recording()) {
-    rec::RecordElementwise("LeakyRelu", out, {a.node()}, out->numel(), chunk);
+    rec::Record("LeakyRelu", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [negative_slope](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -345,12 +352,13 @@ Tensor Tanh(const Tensor& a) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) ov[i] = std::tanh(av[i]);
+  const int64_t n = out->numel();
+  auto run = [av, ov, n]() {
+    for (int64_t i = 0; i < n; ++i) ov[i] = std::tanh(av[i]);
   };
-  chunk(0, out->numel());
+  run();
   if (rec::Recording()) {
-    rec::RecordElementwise("Tanh", out, {a.node()}, out->numel(), chunk);
+    rec::Record("Tanh", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -373,12 +381,13 @@ Tensor Sigmoid(const Tensor& a) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) ov[i] = 1.0f / (1.0f + std::exp(-av[i]));
+  const int64_t n = out->numel();
+  auto run = [av, ov, n]() {
+    for (int64_t i = 0; i < n; ++i) ov[i] = 1.0f / (1.0f + std::exp(-av[i]));
   };
-  chunk(0, out->numel());
+  run();
   if (rec::Recording()) {
-    rec::RecordElementwise("Sigmoid", out, {a.node()}, out->numel(), chunk);
+    rec::Record("Sigmoid", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -401,12 +410,13 @@ Tensor Exp(const Tensor& a) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) ov[i] = std::exp(av[i]);
+  const int64_t n = out->numel();
+  auto run = [av, ov, n]() {
+    for (int64_t i = 0; i < n; ++i) ov[i] = std::exp(av[i]);
   };
-  chunk(0, out->numel());
+  run();
   if (rec::Recording()) {
-    rec::RecordElementwise("Exp", out, {a.node()}, out->numel(), chunk);
+    rec::Record("Exp", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -429,12 +439,13 @@ Tensor Log(const Tensor& a, float eps) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov, eps](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) ov[i] = std::log(std::max(av[i], eps));
+  const int64_t n = out->numel();
+  auto run = [av, ov, eps, n]() {
+    for (int64_t i = 0; i < n; ++i) ov[i] = std::log(std::max(av[i], eps));
   };
-  chunk(0, out->numel());
+  run();
   if (rec::Recording()) {
-    rec::RecordElementwise("Log", out, {a.node()}, out->numel(), chunk);
+    rec::Record("Log", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [eps](TensorNode* o) {
     TensorNode* an = o->parents[0].get();
@@ -453,16 +464,17 @@ Tensor Softplus(const Tensor& a) {
   auto out = NewNodeLike(a);
   const float* av = a.values().data();
   float* ov = out->values.data();
-  auto chunk = [av, ov](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
+  const int64_t n = out->numel();
+  auto run = [av, ov, n]() {
+    for (int64_t i = 0; i < n; ++i) {
       // Numerically stable softplus: log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|)).
       const float x = av[i];
       ov[i] = std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
     }
   };
-  chunk(0, out->numel());
+  run();
   if (rec::Recording()) {
-    rec::RecordElementwise("Softplus", out, {a.node()}, out->numel(), chunk);
+    rec::Record("Softplus", out, {a.node()}, run);
   }
   AttachBackward(out, {a}, [](TensorNode* o) {
     TensorNode* an = o->parents[0].get();

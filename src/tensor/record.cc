@@ -23,19 +23,4 @@ void Record(const char* name, std::shared_ptr<internal::TensorNode> out,
   tape->ops.push_back(std::move(op));
 }
 
-void RecordElementwise(const char* name, std::shared_ptr<internal::TensorNode> out,
-                       std::vector<std::shared_ptr<internal::TensorNode>> inputs, int64_t numel,
-                       ChunkFn chunk) {
-  OpTape* tape = g_active_tape;
-  if (tape == nullptr) return;
-  RecordedOp op;
-  op.name = name;
-  op.out = std::move(out);
-  op.inputs = std::move(inputs);
-  op.numel = numel;
-  op.replay = [chunk, numel]() { chunk(0, numel); };
-  op.chunk = std::move(chunk);
-  tape->ops.push_back(std::move(op));
-}
-
 }  // namespace revelio::tensor::rec

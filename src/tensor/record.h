@@ -11,16 +11,10 @@
 // any caller-owned index vectors (copied only when recording, so the eager
 // path pays nothing beyond one thread-local null check per op).
 //
-// Elementwise ops additionally expose their per-chunk kernel (ChunkFn over
-// the flat index space), which lets the plan compiler fuse consecutive
-// same-extent elementwise ops into one step. A chunked kernel must write
-// out[i] only from inputs at the same flat index i.
-//
 // The recorded closures re-run the exact float expressions of the eager
 // kernels (they are the same lambdas), so replay is bitwise-equal to eager
 // execution — the contract proven by tests/prop/plan_equivalence_test.cc.
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -29,9 +23,6 @@
 
 namespace revelio::tensor::rec {
 
-// Per-chunk elementwise kernel over [begin, end) of the flat index space.
-using ChunkFn = std::function<void(int64_t begin, int64_t end)>;
-
 struct RecordedOp {
   const char* name = "";  // registry name (tensor/op_registry.cc)
   std::shared_ptr<internal::TensorNode> out;
@@ -39,10 +30,6 @@ struct RecordedOp {
   // Recomputes out->values from the inputs' current values. Never touches
   // grads or obs counters; always safe to re-run.
   std::function<void()> replay;
-  // Set only for fusable elementwise ops: the kernel behind `replay`,
-  // invocable per chunk. `numel` is its flat extent.
-  ChunkFn chunk;
-  int64_t numel = 0;
 };
 
 // A recorded epoch: ops in construction order (a topological order of the
@@ -67,12 +54,6 @@ inline bool Recording() { return ActiveTape() != nullptr; }
 void Record(const char* name, std::shared_ptr<internal::TensorNode> out,
             std::vector<std::shared_ptr<internal::TensorNode>> inputs,
             std::function<void()> replay);
-
-// Elementwise variant: derives `replay` from the chunk kernel and marks the
-// op fusable.
-void RecordElementwise(const char* name, std::shared_ptr<internal::TensorNode> out,
-                       std::vector<std::shared_ptr<internal::TensorNode>> inputs, int64_t numel,
-                       ChunkFn chunk);
 
 }  // namespace revelio::tensor::rec
 

@@ -12,10 +12,9 @@
 //
 // At RUNTIME the tier can be disabled with REVELIO_SIMD=0 (or SetEnabled):
 // kernel call sites in ops.cc / ops_index.cc / ops_spmm.cc check Enabled()
-// inside their chunk lambdas and fall back to the original scalar loops.
-// Because the check lives inside the chunk, recorded plan tapes (PR 9)
-// honor the toggle on replay too, and fused elementwise chains vectorize
-// through the very same kernels.
+// inside their kernel lambdas and fall back to the original scalar loops.
+// Because the check lives inside the lambda, recorded plan tapes replay the
+// very same kernels and honor the toggle on replay too.
 //
 // Equivalence contract (proven by tests/prop/simd_equivalence_test.cc):
 //  - Elementwise kernels, axpy-style accumulations and the matmul/spmm

@@ -1,5 +1,5 @@
 // Unit tests for the recorded-execution-plan subsystem (src/plan): tape
-// recording, plan compilation (fusion), PlanSession replay
+// recording and sealing, PlanSession replay
 // semantics (global version bump, stable buffers), and the
 // plan.* observability counters. The whole-loop differential proof lives in
 // tests/prop/plan_equivalence_test.cc; these tests pin the mechanism.
@@ -41,7 +41,7 @@ class PlanTest : public ::testing::Test {
 };
 
 // x -> AddScalar -> Tanh -> MulScalar -> Sum: three same-extent elementwise
-// ops (fusable run) feeding a reduction.
+// ops feeding a reduction.
 Tensor BuildChain(const Tensor& x) {
   return tensor::Sum(tensor::MulScalar(tensor::Tanh(tensor::AddScalar(x, 0.5f)), 2.0f));
 }
@@ -61,18 +61,12 @@ TEST_F(PlanTest, RecordScopeCapturesOpsAndSealCompiles) {
   loss.Backward();
 
   const uint64_t records_before = CounterTotal("plan.records");
+  const uint64_t steps_before = CounterTotal("plan.steps");
   session.Seal(loss);
   ASSERT_TRUE(session.sealed());
   EXPECT_EQ(CounterTotal("plan.records"), records_before + 1);
-
-  const plan::Plan* plan = session.plan();
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->num_ops(), 4);
-  // The three elementwise ops fuse into one step; Sum stays on its own.
-  ASSERT_EQ(plan->steps().size(), 2u);
-  EXPECT_TRUE(plan->steps()[0].fused);
-  EXPECT_EQ(plan->steps()[0].op_indices.size(), 3u);
-  EXPECT_EQ(plan->fused_ops(), 3);
+  // Every recorded tape op is one replay step.
+  EXPECT_EQ(CounterTotal("plan.steps"), steps_before + 4);
 }
 
 TEST_F(PlanTest, ReplayRecomputesValuesAndGradsInPlace) {

@@ -1,7 +1,7 @@
-// Plan coverage audit (ISSUE PR 9, satellite 6): every op in the tensor op
-// registry must be plan-replayable — its implementation records a tape entry
-// via rec::Record/rec::RecordElementwise — or be explicitly accounted for as
-// a composite that lowers to recorded ops (Neg, Mean) or as eager-only.
+// Plan coverage audit: every op in the tensor op registry must be
+// plan-replayable — its implementation records a tape entry via rec::Record —
+// or be explicitly accounted for as a composite that lowers to recorded ops
+// (Neg, Mean) or as eager-only.
 //
 // Two layers of enforcement:
 //  1. A static audit parses src/tensor/*.cc for rec::Record calls and diffs
@@ -56,8 +56,8 @@ const std::set<std::string>& EagerOnlyOps() {
   return *kEagerOnly;
 }
 
-// Collects the op names passed to rec::Record / rec::RecordElementwise in
-// the tensor op implementation files.
+// Collects the op names passed to rec::Record (the op-name string literal,
+// its first argument) in the tensor op implementation files.
 void RecordedOpNamesFromSources(std::set<std::string>* names) {
   const std::vector<std::string> files = {"ops.cc", "ops_index.cc", "ops_spmm.cc"};
   for (const std::string& file : files) {
@@ -67,19 +67,18 @@ void RecordedOpNamesFromSources(std::set<std::string>* names) {
     std::stringstream buf;
     buf << in.rdbuf();
     const std::string text = buf.str();
-    for (const std::string& call : {std::string("rec::Record("), std::string("rec::RecordElementwise(")}) {
-      size_t pos = 0;
-      while ((pos = text.find(call, pos)) != std::string::npos) {
-        pos += call.size();
-        // Skip whitespace/newlines up to the opening quote of the name.
-        while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n')) ++pos;
-        ASSERT_LT(pos, text.size());
-        ASSERT_EQ(text[pos], '"') << "unparsable " << call << " in " << file;
-        const size_t end = text.find('"', pos + 1);
-        ASSERT_NE(end, std::string::npos);
-        names->insert(text.substr(pos + 1, end - pos - 1));
-        pos = end;
-      }
+    const std::string call = "rec::Record(";
+    size_t pos = 0;
+    while ((pos = text.find(call, pos)) != std::string::npos) {
+      pos += call.size();
+      // Skip whitespace/newlines up to the opening quote of the name.
+      while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n')) ++pos;
+      ASSERT_LT(pos, text.size());
+      ASSERT_EQ(text[pos], '"') << "unparsable " << call << " in " << file;
+      const size_t end = text.find('"', pos + 1);
+      ASSERT_NE(end, std::string::npos);
+      names->insert(text.substr(pos + 1, end - pos - 1));
+      pos = end;
     }
   }
 }
