@@ -266,30 +266,12 @@ std::vector<explain::Explanation> ExplainAll(explain::Explainer* explainer,
                                              const std::vector<ExplanationTask>& tasks,
                                              Objective objective) {
   obs::ScopedSpan span("eval.ExplainAll");
-  std::vector<explain::Explanation> explanations(tasks.size());
-  // Per-task admission: a task that fails validation gets the error parked in
-  // its (index-aligned) result slot instead of aborting the whole batch. The
-  // remaining tasks run through ExplainBatch, whose results never depend on
-  // which tasks share the batch.
-  std::vector<const ExplanationTask*> valid;
-  std::vector<size_t> valid_index;
-  valid.reserve(tasks.size());
-  valid_index.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    util::Status status = explain::ValidateExplanationTask(tasks[i]);
-    if (status.ok()) {
-      valid.push_back(&tasks[i]);
-      valid_index.push_back(i);
-    } else {
-      explanations[i].status = std::move(status);
-    }
-  }
-  if (valid.empty()) return explanations;
-  std::vector<explain::Explanation> results = explainer->ExplainBatch(valid, objective);
-  for (size_t j = 0; j < results.size(); ++j) {
-    explanations[valid_index[j]] = std::move(results[j]);
-  }
-  return explanations;
+  // Explain validates each task, so an invalid one gets its error parked in
+  // its (index-aligned) slot instead of aborting the whole batch.
+  std::vector<const ExplanationTask*> pointers;
+  pointers.reserve(tasks.size());
+  for (const ExplanationTask& task : tasks) pointers.push_back(&task);
+  return explainer->ExplainBatch(pointers, objective);
 }
 
 namespace {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "nn/loss.h"
 #include "obs/audit.h"
@@ -57,11 +59,15 @@ Explanation Explainer::Explain(const ExplanationTask& task, Objective objective)
                                                               : std::string());
   static obs::Counter* calls = obs::MetricsRegistry::Global().GetCounter("explain.calls");
   calls->Increment();
-  if (task.model != nullptr && !SupportsArch(task.model->config().arch)) {
+  util::Status status = ValidateExplanationTask(task);
+  if (status.ok() && !SupportsArch(task.model->config().arch)) {
+    status = util::Status::InvalidArgument(name() + " does not support " +
+                                           gnn::GnnArchName(task.model->config().arch) +
+                                           " models");
+  }
+  if (!status.ok()) {
     Explanation rejected;
-    rejected.status = util::Status::InvalidArgument(
-        name() + " does not support " + gnn::GnnArchName(task.model->config().arch) +
-        " models");
+    rejected.status = std::move(status);
     return rejected;
   }
   obs::AuditScope audit;
@@ -77,21 +83,34 @@ Explanation Explainer::Explain(const ExplanationTask& task, Objective objective)
 
 std::vector<Explanation> Explainer::ExplainBatch(const std::vector<const ExplanationTask*>& tasks,
                                                  Objective objective) {
-  for (const ExplanationTask* task : tasks) CHECK(task != nullptr);
   std::vector<Explanation> results(tasks.size());
-  // Methods with per-call mutable state run one at a time.
+  auto explain_slot = [this, &tasks, &results, objective](size_t i) {
+    if (tasks[i] == nullptr) {
+      results[i].status = util::Status::InvalidArgument("task is null");
+    } else {
+      results[i] = Explain(*tasks[i], objective);
+    }
+  };
+  // Methods with per-call mutable state run one at a time, in index order.
   if (!thread_safe_explain()) {
-    for (size_t i = 0; i < tasks.size(); ++i) results[i] = Explain(*tasks[i], objective);
+    for (size_t i = 0; i < tasks.size(); ++i) explain_slot(i);
     return results;
   }
-  // Instances are the one parallel axis: one slot per instance, one writer
-  // per slot, and each Explain runs serially on the thread that claimed it.
-  // A lone task runs on the calling thread (ParallelFor's one-chunk path).
-  Explanation* out = results.data();
-  const ExplanationTask* const* in = tasks.data();
-  util::ParallelFor(0, static_cast<int64_t>(tasks.size()), 1,
-                    [this, out, in, objective](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) out[i] = Explain(*in[i], objective);
+  // Instances are the one parallel axis: each Explain runs serially on the
+  // thread that claimed it and writes only its own slot. Threads claim one
+  // task at a time, largest graph first, so a long instance starts early
+  // instead of landing last on one thread. Ties keep index order. A lone
+  // task runs on the calling thread (ParallelFor's one-chunk path).
+  std::vector<size_t> order(tasks.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  auto edges = [&tasks](size_t i) {
+    return tasks[i] != nullptr && tasks[i]->graph != nullptr ? tasks[i]->graph->num_edges() : -1;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&edges](size_t a, size_t b) { return edges(a) > edges(b); });
+  util::ParallelFor(0, static_cast<int64_t>(order.size()), 1,
+                    [&order, &explain_slot](int64_t begin, int64_t end) {
+                      for (int64_t k = begin; k < end; ++k) explain_slot(order[k]);
                     });
   return results;
 }

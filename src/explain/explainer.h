@@ -80,20 +80,24 @@ class Explainer {
   // ExplainBatch falls back to the serial per-task loop.
   virtual bool thread_safe_explain() const { return true; }
 
-  // Shared entry point: opens the "explain.<name()>" telemetry span, counts
-  // the call, rejects a model architecture the method does not support
-  // (InvalidArgument status, empty scores), emits one audit record, then
-  // dispatches to ExplainImpl. Non-virtual so every method is instrumented
-  // uniformly regardless of call site.
+  // Shared entry point: opens the "explain.<name()>" telemetry span and
+  // counts the call. A task that fails ValidateExplanationTask, or a model
+  // architecture the method does not support, gets an InvalidArgument status
+  // with empty scores and no audit record. Otherwise it emits one audit
+  // record and dispatches to ExplainImpl. Non-virtual so every method is
+  // instrumented uniformly regardless of call site.
   Explanation Explain(const ExplanationTask& task, Objective objective);
 
-  // Batched entry point: one Explain per task, index-parallel to `tasks`.
-  // Tasks run side by side (util::ParallelFor, one instance per slot) when
-  // thread_safe_explain() holds, serially otherwise. This is the only place
+  // Batched entry point: one Explain per task, index-parallel to `tasks`; a
+  // null task pointer gets InvalidArgument in its slot. When
+  // thread_safe_explain() holds, tasks run side by side (util::ParallelFor,
+  // grain 1): threads claim them one at a time, largest graph (num_edges)
+  // first with ties in index order, so the longest instances never start
+  // last. Otherwise they run serially in index order. This is the only place
   // explanation forks: each Explain runs serially on one thread, and a
   // one-task batch runs on the calling thread. Each Explain is deterministic
   // on its own, so results are bitwise-equal to the per-task loop at any
-  // thread count.
+  // thread count and in any claim order.
   std::vector<Explanation> ExplainBatch(const std::vector<const ExplanationTask*>& tasks,
                                         Objective objective);
 

@@ -1,5 +1,6 @@
 #include "util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -7,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -80,12 +80,17 @@ class ThreadPool {
 };
 
 // One ParallelFor invocation. Heap-shared so helper tasks that wake after
-// the caller has already returned still touch live memory.
+// the caller has already returned still touch live memory. Chunk i covers
+// [begin + i * grain, min(begin + (i + 1) * grain, end)); threads claim the
+// next i from one atomic cursor, so one that finishes early takes more work.
 struct Region {
   const std::function<void(int64_t, int64_t)>* fn = nullptr;
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  std::atomic<size_t> next_chunk{0};
-  std::atomic<int> remaining_chunks{0};
+  int64_t begin = 0;
+  int64_t end = 0;
+  int64_t grain = 1;
+  int64_t num_chunks = 0;
+  std::atomic<int64_t> next_chunk{0};
+  std::atomic<int64_t> remaining_chunks{0};
   std::mutex mu;
   std::condition_variable done;
 };
@@ -101,9 +106,10 @@ void RunChunks(const std::shared_ptr<Region>& region) {
   const bool prev = tls_in_parallel_region;
   tls_in_parallel_region = true;
   for (;;) {
-    const size_t i = region->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (i >= region->chunks.size()) break;
-    (*region->fn)(region->chunks[i].first, region->chunks[i].second);
+    const int64_t i = region->next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (i >= region->num_chunks) break;
+    const int64_t chunk_begin = region->begin + i * region->grain;
+    (*region->fn)(chunk_begin, std::min(chunk_begin + region->grain, region->end));
     if (region->remaining_chunks.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(region->mu);
       region->done.notify_all();
@@ -143,11 +149,9 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
-  const int64_t range = end - begin;
-  const int64_t max_chunks = (range + grain - 1) / grain;
-  const int num_chunks =
-      static_cast<int>(std::min<int64_t>(NumThreads(), max_chunks));
-  if (num_chunks <= 1 || tls_in_parallel_region) {
+  const int64_t num_chunks = (end - begin + grain - 1) / grain;
+  const int num_workers = static_cast<int>(std::min<int64_t>(NumThreads(), num_chunks));
+  if (num_workers <= 1 || tls_in_parallel_region) {
     // Serial fallback: the caller runs fn itself, with no worker span and no
     // worker busy time, so profiles charge it to the caller's own spans. It
     // still marks the region so a ParallelFor nested in fn stays serial too.
@@ -166,27 +170,21 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   static obs::Counter* tasks_dispatched =
       obs::MetricsRegistry::Global().GetCounter("parallel.tasks_dispatched");
   dispatches->Increment();
-  tasks_dispatched->Add(static_cast<uint64_t>(num_chunks));
+  tasks_dispatched->Add(static_cast<uint64_t>(num_workers));
 
   auto region = std::make_shared<Region>();
   region->fn = &fn;
-  region->chunks.reserve(num_chunks);
-  // Near-equal contiguous chunks; the first `extra` chunks take one more.
-  const int64_t base = range / num_chunks;
-  const int64_t extra = range % num_chunks;
-  int64_t cursor = begin;
-  for (int c = 0; c < num_chunks; ++c) {
-    const int64_t size = base + (c < extra ? 1 : 0);
-    region->chunks.emplace_back(cursor, cursor + size);
-    cursor += size;
-  }
+  region->begin = begin;
+  region->end = end;
+  region->grain = grain;
+  region->num_chunks = num_chunks;
   region->remaining_chunks.store(num_chunks, std::memory_order_relaxed);
 
   ThreadPool& pool = ThreadPool::Global();
   pool.EnsureWorkers(NumThreads() - 1);
-  // One helper task per chunk beyond the caller's; each loops claiming
-  // whatever chunks remain, so work never waits on a particular thread.
-  for (int c = 1; c < num_chunks; ++c) {
+  // One helper task per thread beyond the caller's; each loops claiming the
+  // next chunk until none remain, so work never waits on a particular thread.
+  for (int w = 1; w < num_workers; ++w) {
     pool.Submit([region] { RunChunks(region); });
   }
   RunChunks(region);

@@ -41,10 +41,14 @@ int HardwareThreads();
 bool InParallelRegion();
 
 // Runs fn(chunk_begin, chunk_end) over contiguous chunks covering
-// [begin, end). Chunks hold at least `grain` items (grain < 1 is treated as
-// 1), so a range of at most `grain` items — or NumThreads() == 1, or a
-// nested call — degenerates to a single fn(begin, end) call on the calling
-// thread. fn must not throw; chunks may run on any thread, concurrently.
+// [begin, end). Chunks hold exactly `grain` items (grain < 1 is treated as
+// 1) except the last, which holds the remainder. They are claimed in index
+// order from one shared cursor by up to NumThreads() threads (the caller and
+// min(NumThreads(), chunks) - 1 pool workers); each thread takes the next
+// unclaimed chunk when it finishes one, so uneven chunks balance themselves.
+// A range of at most `grain` items — or NumThreads() == 1, or a nested call —
+// degenerates to a single fn(begin, end) call on the calling thread. fn must
+// not throw; chunks may run on any thread, concurrently.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
 

@@ -3,6 +3,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
+#include "util/parallel.h"
 
 namespace revelio::explain {
 namespace {
@@ -482,6 +486,117 @@ TEST_F(ExplainerFixture, PgmExplainerIsBlackBox) {
   PgmExplainer explainer(options);
   const auto scores = explainer.Explain(task, Objective::kFactual).edge_scores;
   for (double s : scores) EXPECT_GE(s, 0.0);
+}
+
+// --- ExplainBatch scheduling and task admission --------------------------------
+
+// Answers each task with one score naming its target node, so a result in the
+// wrong slot shows. Stateless, so concurrent calls are safe.
+class EchoExplainer : public Explainer {
+ public:
+  std::string name() const override { return "Echo"; }
+
+ protected:
+  Explanation ExplainImpl(const ExplanationTask& task, Objective) override {
+    Explanation result;
+    result.edge_scores = {static_cast<double>(task.target_node)};
+    return result;
+  }
+};
+
+// An EchoExplainer that also records the order in which it is handed tasks.
+// Not safe for concurrent calls, so only driven at one thread.
+class RecordingExplainer : public EchoExplainer {
+ public:
+  const std::vector<int>& seen() const { return seen_; }
+
+ protected:
+  Explanation ExplainImpl(const ExplanationTask& task, Objective objective) override {
+    seen_.push_back(task.target_node);
+    return EchoExplainer::ExplainImpl(task, objective);
+  }
+
+ private:
+  std::vector<int> seen_;
+};
+
+// Task i explains node i of an 11-node path graph with kEdges[i] edges.
+class ExplainBatchTest : public ::testing::Test {
+ protected:
+  static constexpr int kNodes = 11;
+  const std::vector<int> kEdges = {3, 7, 3, 10, 0, 7};
+
+  void SetUp() override {
+    gnn::GnnConfig config;
+    config.input_dim = 4;
+    config.num_classes = 2;
+    model_ = std::make_unique<gnn::GnnModel>(config);
+    model_->Freeze();
+    for (int edges : kEdges) {
+      graph::Graph g(kNodes);
+      for (int e = 0; e < edges; ++e) g.AddEdge(e, e + 1);
+      graphs_.push_back(std::move(g));
+    }
+    tasks_.resize(kEdges.size());
+    for (size_t i = 0; i < tasks_.size(); ++i) {
+      tasks_[i].model = model_.get();
+      tasks_[i].graph = &graphs_[i];
+      tasks_[i].features = tensor::Tensor::Zeros(kNodes, config.input_dim);
+      tasks_[i].target_node = static_cast<int>(i);
+    }
+  }
+  void TearDown() override { util::SetNumThreads(1); }
+
+  std::unique_ptr<gnn::GnnModel> model_;
+  std::vector<graph::Graph> graphs_;
+  std::vector<ExplanationTask> tasks_;
+};
+
+TEST_F(ExplainBatchTest, ClaimsLargestGraphFirstWithTiesInIndexOrder) {
+  std::vector<const ExplanationTask*> pointers;
+  for (const ExplanationTask& task : tasks_) pointers.push_back(&task);
+  util::SetNumThreads(1);
+  RecordingExplainer explainer;
+  const std::vector<Explanation> results = explainer.ExplainBatch(pointers, Objective::kFactual);
+  EXPECT_EQ(explainer.seen(), (std::vector<int>{3, 1, 5, 0, 2, 4}));
+  ASSERT_EQ(results.size(), tasks_.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].status.ok()) << i << ": " << results[i].status.ToString();
+    EXPECT_EQ(results[i].edge_scores, std::vector<double>{static_cast<double>(i)}) << i;
+  }
+}
+
+// A null task, a graph-less task and a NaN-feature task passed straight to
+// Explain / ExplainBatch get InvalidArgument in their own slots while the
+// valid tasks beside them run; nothing aborts or dereferences the null graph.
+TEST_F(ExplainBatchTest, InvalidTasksGetStatusesNotAborts) {
+  ExplanationTask graphless = tasks_[1];
+  graphless.graph = nullptr;
+  ExplanationTask nan_feature = tasks_[2];
+  nan_feature.features = tasks_[2].features.Detach();
+  nan_feature.features.SetAt(0, 0, std::numeric_limits<float>::quiet_NaN());
+
+  EchoExplainer explainer;
+  for (const ExplanationTask* bad : {&graphless, &nan_feature}) {
+    const Explanation direct = explainer.Explain(*bad, Objective::kFactual);
+    EXPECT_EQ(direct.status.code(), util::StatusCode::kInvalidArgument)
+        << direct.status.ToString();
+    EXPECT_TRUE(direct.edge_scores.empty());
+  }
+
+  util::SetNumThreads(4);
+  const std::vector<Explanation> batch = explainer.ExplainBatch(
+      {&tasks_[0], nullptr, &graphless, &nan_feature, &tasks_[3]}, Objective::kFactual);
+  ASSERT_EQ(batch.size(), 5u);
+  for (size_t bad : {1u, 2u, 3u}) {
+    EXPECT_EQ(batch[bad].status.code(), util::StatusCode::kInvalidArgument)
+        << "slot " << bad << ": " << batch[bad].status.ToString();
+    EXPECT_TRUE(batch[bad].edge_scores.empty()) << "slot " << bad;
+  }
+  ASSERT_TRUE(batch[0].status.ok()) << batch[0].status.ToString();
+  ASSERT_TRUE(batch[4].status.ok()) << batch[4].status.ToString();
+  EXPECT_EQ(batch[0].edge_scores, std::vector<double>{0.0});
+  EXPECT_EQ(batch[4].edge_scores, std::vector<double>{3.0});
 }
 
 }  // namespace

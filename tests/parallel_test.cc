@@ -1,11 +1,15 @@
 // Tests for util::ParallelFor and the determinism contract of the parallel
 // tensor kernels: every index covered exactly once under adversarial grain
-// sizes, and bitwise-identical results for 1 vs N worker threads.
+// sizes, chunks of exactly `grain` items, and bitwise-identical results for
+// 1 vs N worker threads.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,6 +67,38 @@ TEST_F(ParallelTest, NonZeroBeginCoversExactRange) {
   for (int64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(hits[i].load(), (i >= 17 && i < 83) ? 1 : 0) << i;
   }
+}
+
+// The chunks fn saw, sorted by begin. Chunks may run concurrently.
+template <typename Run>
+std::vector<std::pair<int64_t, int64_t>> RecordChunks(Run run) {
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> chunks;
+  run([&mu, &chunks](int64_t begin, int64_t end) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(begin, end);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+TEST_F(ParallelTest, ChunksHoldExactlyGrainItems) {
+  util::SetNumThreads(4);
+  // Grain 1 over 64 items: 64 one-item claims, not 4 fixed slices of 16.
+  const auto singles = RecordChunks([](const auto& fn) { util::ParallelFor(0, 64, 1, fn); });
+  ASSERT_EQ(singles.size(), 64u);
+  for (int64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(singles[i], std::make_pair(i, i + 1)) << "chunk " << i;
+  }
+
+  // 66 items at grain 5: thirteen 5-item chunks and a last chunk of 1.
+  const auto fives = RecordChunks([](const auto& fn) { util::ParallelFor(17, 83, 5, fn); });
+  ASSERT_EQ(fives.size(), 14u);
+  for (size_t c = 0; c < fives.size(); ++c) {
+    const int64_t begin = 17 + 5 * static_cast<int64_t>(c);
+    EXPECT_EQ(fives[c], std::make_pair(begin, std::min<int64_t>(begin + 5, 83))) << "chunk " << c;
+  }
+  EXPECT_EQ(fives.back(), std::make_pair(int64_t{82}, int64_t{83}));
 }
 
 TEST_F(ParallelTest, EmptyAndReversedRangesAreNoOps) {

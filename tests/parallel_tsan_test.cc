@@ -75,6 +75,36 @@ int main() {
     }
   }
 
+  // Many small chunks: concurrent callers each claim ~1,000 one-item chunks
+  // from their region's shared cursor, so the cursor and the completion
+  // handshake are hit once per item while the pool's workers interleave
+  // regions.
+  {
+    constexpr int kCallers = 4;
+    constexpr int64_t kItems = 1000;
+    std::vector<std::vector<int>> counts(kCallers, std::vector<int>(kItems, 0));
+    std::vector<std::thread> small_callers;
+    for (int t = 0; t < kCallers; ++t) {
+      small_callers.emplace_back([&counts, t] {
+        std::vector<int>& mine = counts[t];
+        util::ParallelFor(0, kItems, 1, [&mine](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) mine[i] += static_cast<int>(end - begin);
+        });
+      });
+    }
+    for (auto& caller : small_callers) caller.join();
+    for (int t = 0; t < kCallers && ok; ++t) {
+      for (int64_t i = 0; i < kItems; ++i) {
+        if (counts[t][i] != 1) {
+          std::fprintf(stderr, "FAIL: caller %d index %lld saw %d (one 1-item chunk expected)\n",
+                       t, static_cast<long long>(i), counts[t][i]);
+          ok = false;
+          break;
+        }
+      }
+    }
+  }
+
   // Concurrent independent ParallelFor callers sharing the thread pool.
   std::vector<std::thread> callers;
   for (int t = 0; t < 4; ++t) {

@@ -7,6 +7,7 @@
 // Explainer::ExplainBatch) are held to the same contract: every slot equals
 // a per-task Explain bitwise, whatever the thread count.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/revelio.h"
+#include "datasets/generators.h"
 #include "eval/runner.h"
 #include "explain/explainer.h"
 #include "explain/gnnexplainer.h"
@@ -228,22 +230,59 @@ void ExpectSameExplanations(const std::vector<explain::Explanation>& expected,
   }
 }
 
-// The surviving batch contract: for node and graph tasks, both objectives,
-// the prefilter extension, and a non-thread-safe method, ExplainAll and
-// ExplainBatch at threads {1, 2, 7, 16} equal a fresh explainer's per-task
-// Explain loop bitwise.
+// ba_shapes-like skew: one 2-hop computation subgraph around the hub of a
+// Barabasi-Albert graph (hundreds of flows) in the middle of small ring
+// instances. ExplainBatch claims the big instance first, so the claim order
+// differs from index order.
+std::vector<TaskData> MakeSkewedNodeBatch() {
+  util::Rng rng(kSeed + 60);
+  graph::Graph ba(80);
+  datasets::AddBaGraph(&ba, 0, 80, 3, &rng);
+  const std::vector<int> in_degrees = ba.InDegrees();
+  const int hub = static_cast<int>(std::max_element(in_degrees.begin(), in_degrees.end()) -
+                                   in_degrees.begin());
+  graph::Subgraph sub = graph::ExtractKHopInSubgraph(ba, hub, ModelConfig().num_layers);
+  TaskData large;
+  large.features = Tensor::Uniform(sub.graph.num_nodes(), 5, -1.0f, 1.0f, &rng);
+  large.graph = std::move(sub.graph);
+  large.target_node = sub.target_local;
+  large.target_class = 1;
+
+  std::vector<TaskData> data;
+  for (int i = 0; i < 8; ++i) data.push_back(MakeTaskData(kSeed + 70 + i, true));
+  data[4] = std::move(large);
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (i == 4) continue;
+    EXPECT_GT(data[4].graph.num_edges(), 4 * data[i].graph.num_edges())
+        << "the skewed batch must be skewed";
+  }
+  return data;
+}
+
+// The surviving batch contract: for node and graph tasks, a skewed node
+// batch, both objectives, the prefilter extension, and a non-thread-safe
+// method, ExplainAll and ExplainBatch at threads {1, 2, 4, 7, 16} equal a
+// fresh explainer's per-task Explain loop bitwise.
 TEST_F(DeterminismTest, ExplainAllAndExplainBatchEqualPerTaskExplain) {
-  for (const bool node_task : {true, false}) {
+  struct Batch {
+    std::string name;
+    bool node_task;
+    std::vector<TaskData> data;
+  };
+  std::vector<Batch> batches(3);
+  batches[0] = {"node", true, {}};
+  for (int i = 0; i < 9; ++i) batches[0].data.push_back(MakeTaskData(kSeed + 40 + i, true));
+  batches[1] = {"graph", false, {}};
+  for (int i = 0; i < 4; ++i) batches[1].data.push_back(MakeTaskData(kSeed + 40 + i, false));
+  batches[2] = {"skewed node", true, MakeSkewedNodeBatch()};
+
+  for (const Batch& batch : batches) {
     gnn::GnnConfig config = ModelConfig();
-    if (!node_task) config.task = gnn::TaskType::kGraphClassification;
+    if (!batch.node_task) config.task = gnn::TaskType::kGraphClassification;
     gnn::GnnModel model(config);
     model.Freeze();
-    std::vector<TaskData> data;
-    for (int i = 0; i < (node_task ? 9 : 4); ++i) {
-      data.push_back(MakeTaskData(kSeed + 40 + i, node_task));
-    }
     std::vector<explain::ExplanationTask> tasks;
-    for (const TaskData& d : data) tasks.push_back(d.MakeTask(&model));
+    for (const TaskData& d : batch.data) tasks.push_back(d.MakeTask(&model));
     std::vector<const explain::ExplanationTask*> pointers;
     for (const auto& task : tasks) pointers.push_back(&task);
 
@@ -259,9 +298,9 @@ TEST_F(DeterminismTest, ExplainAllAndExplainBatchEqualPerTaskExplain) {
           ASSERT_FALSE(expected.edge_scores.empty());
         }
 
-        for (const int threads : {1, 2, 7, 16}) {
+        for (const int threads : {1, 2, 4, 7, 16}) {
           util::SetNumThreads(threads);
-          const std::string context = factory.name + (node_task ? " node" : " graph") +
+          const std::string context = factory.name + " " + batch.name +
                                       " objective=" + explain::ObjectiveName(objective) +
                                       " threads=" + std::to_string(threads);
           ExpectSameExplanations(reference,
