@@ -8,11 +8,6 @@
 // fused-vs-chain output check). `--quick` runs only that sweep at reduced
 // sizes — the mode the bench-regression ctest uses — and `--spmm-out FILE`
 // overrides its output path.
-//
-// A second sweep (`--simd-sweep`, writes BENCH_simd.json) times the scalar
-// loops against the SIMD tier (tensor/simd.h) at 1 thread — interleaved
-// min-of-N over elementwise/matmul/SpMM. `--simd-out FILE` overrides its
-// output path.
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +23,6 @@
 #include "flow/message_flow.h"
 #include "gnn/model.h"
 #include "tensor/ops.h"
-#include "tensor/simd.h"
 #include "tensor/sparse.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -288,153 +282,6 @@ void RunSpmmSweepAndReport(bool quick, const std::string& out_path) {
   WriteSpmmJson(points, out_path);
 }
 
-// --- SIMD tier sweep (BENCH_simd.json) ---------------------------------------
-
-struct SimdPoint {
-  std::string kernel;
-  int64_t elements = 0;         // flat work size, used to pick the largest point
-  double scalar_seconds = 0.0;  // REVELIO_SIMD=0 path
-  double simd_seconds = 0.0;
-  double simd_speedup = 0.0;
-  bool bitwise_equal = false;  // SIMD output vs scalar output (forward only)
-};
-
-// Interleaved min-of-N A/B timing of `run` with the SIMD toggle off vs on,
-// at 1 thread: alternating per trial cancels frequency drift on a loaded
-// single-core host, min-of-trials cancels scheduler noise.
-template <typename Fn>
-void TimeScalarVsSimd(Fn run, int reps, SimdPoint* point) {
-  constexpr int kTrials = 5;
-  auto time_reps = [&run, reps] {
-    util::Timer timer;
-    for (int r = 0; r < reps; ++r) {
-      tensor::Tensor out = run();
-      benchmark::DoNotOptimize(out);
-    }
-    return timer.ElapsedSeconds();
-  };
-  point->scalar_seconds = std::numeric_limits<double>::infinity();
-  point->simd_seconds = std::numeric_limits<double>::infinity();
-  tensor::simd::SetEnabled(false);
-  const std::vector<float> scalar_out = run().values();
-  tensor::simd::SetEnabled(true);
-  point->bitwise_equal = run().values() == scalar_out;  // also warms both paths
-  for (int trial = 0; trial < kTrials; ++trial) {
-    tensor::simd::SetEnabled(false);
-    point->scalar_seconds = std::min(point->scalar_seconds, time_reps());
-    tensor::simd::SetEnabled(true);
-    point->simd_seconds = std::min(point->simd_seconds, time_reps());
-  }
-  point->scalar_seconds /= reps;
-  point->simd_seconds /= reps;
-  point->simd_speedup =
-      point->simd_seconds > 0.0 ? point->scalar_seconds / point->simd_seconds : 0.0;
-}
-
-// Scalar-vs-SIMD on the three kernel families the explanation hot path is
-// made of. Sizes are L1/L2-resident on purpose: explanation training and
-// fidelity probes work on small-graph tensors (KBs to a few MB); DRAM-bound
-// sizes would only measure memory bandwidth.
-void RunSimdSweep(bool quick, std::vector<SimdPoint>* points) {
-  util::SetNumThreads(1);
-  util::Rng rng(41);
-
-  // Elementwise: a plan-replayed elementwise chain (add -> mul -> relu).
-  const std::vector<int64_t> ew_sizes =
-      quick ? std::vector<int64_t>{1 << 12, 1 << 16} : std::vector<int64_t>{1 << 12, 1 << 18};
-  for (const int64_t n : ew_sizes) {
-    tensor::Tensor a = tensor::Tensor::Randn(static_cast<int>(n / 64), 64, &rng);
-    tensor::Tensor b = tensor::Tensor::Randn(static_cast<int>(n / 64), 64, &rng);
-    SimdPoint point;
-    point.kernel = "elementwise_" + std::to_string(n);
-    point.elements = n;
-    const int reps = static_cast<int>(std::max<int64_t>(1, (1 << 22) / n));
-    TimeScalarVsSimd([&] { return tensor::Relu(tensor::Mul(tensor::Add(a, b), a)); }, reps,
-                     &point);
-    points->push_back(point);
-  }
-
-  // MatMul forward (n = k = m).
-  const std::vector<int> mm_sizes = quick ? std::vector<int>{48, 96} : std::vector<int>{64, 160};
-  for (const int n : mm_sizes) {
-    tensor::Tensor a = tensor::Tensor::Randn(n, n, &rng);
-    tensor::Tensor b = tensor::Tensor::Randn(n, n, &rng);
-    SimdPoint point;
-    point.kernel = "matmul_" + std::to_string(n);
-    point.elements = int64_t{1} * n * n * n;
-    const int reps = static_cast<int>(std::max<int64_t>(1, (1 << 24) / point.elements));
-    TimeScalarVsSimd([&] { return tensor::MatMul(a, b); }, reps, &point);
-    points->push_back(point);
-  }
-
-  // SpMM forward (per-edge axpy over the feature row).
-  const std::vector<int> spmm_edges =
-      quick ? std::vector<int>{1 << 11, 1 << 13} : std::vector<int>{1 << 12, 1 << 15};
-  for (const int edges : spmm_edges) {
-    const int nodes = edges / 4 + 1;
-    const int dim = 32;
-    tensor::Tensor x = tensor::Tensor::Randn(nodes, dim, &rng);
-    tensor::Tensor w = tensor::Tensor::Uniform(edges, 1, 0.2f, 1.5f, &rng);
-    std::vector<int> dst(edges), src(edges);
-    for (int e = 0; e < edges; ++e) {
-      dst[e] = rng.UniformInt(nodes);
-      src[e] = rng.UniformInt(nodes);
-    }
-    const tensor::CsrPatternRef pattern = tensor::BuildCsrPattern(nodes, nodes, dst, src);
-    SimdPoint point;
-    point.kernel = "spmm_" + std::to_string(edges) + "x" + std::to_string(dim);
-    point.elements = int64_t{1} * edges * dim;
-    const int reps = static_cast<int>(std::max<int64_t>(1, (1 << 22) / point.elements));
-    TimeScalarVsSimd([&] { return tensor::SpmmCsrWeighted(pattern, w, x); }, reps, &point);
-    points->push_back(point);
-  }
-
-  tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
-}
-
-void WriteSimdJson(const std::vector<SimdPoint>& points, const std::string& path) {
-  bench::WriteBenchJson(path, "simd_sweep", [&](obs::JsonWriter* w) {
-    w->BeginObject();
-    w->Key("isa");
-    w->String(tensor::simd::IsaName());
-    w->Key("lanes");
-    w->Int(tensor::simd::Lanes());
-    w->Key("points");
-    w->BeginArray();
-    for (const SimdPoint& p : points) {
-      w->BeginObject();
-      w->Key("kernel");
-      w->String(p.kernel);
-      w->Key("elements");
-      w->Int(p.elements);
-      w->Key("scalar_seconds");
-      w->Double(p.scalar_seconds);
-      w->Key("simd_seconds");
-      w->Double(p.simd_seconds);
-      w->Key("simd_speedup");
-      w->Double(p.simd_speedup);
-      w->Key("bitwise_equal");
-      w->Bool(p.bitwise_equal);
-      w->EndObject();
-    }
-    w->EndArray();
-    w->EndObject();
-  });
-}
-
-void RunSimdSweepAndReport(bool quick, const std::string& out_path) {
-  std::printf("== scalar vs SIMD sweep, 1 thread, %s/%d lanes (writes %s) ==\n",
-              tensor::simd::IsaName(), tensor::simd::Lanes(), out_path.c_str());
-  std::vector<SimdPoint> points;
-  RunSimdSweep(quick, &points);
-  for (const SimdPoint& p : points) {
-    std::printf("%-22s scalar %9.6fs  simd %9.6fs  speedup=%5.2fx  bitwise_equal=%s\n",
-                p.kernel.c_str(), p.scalar_seconds, p.simd_seconds, p.simd_speedup,
-                p.bitwise_equal ? "yes" : "NO");
-  }
-  WriteSimdJson(points, out_path);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -445,14 +292,6 @@ int main(int argc, char** argv) {
   if (flags.Has("threads")) util::SetNumThreads(flags.GetInt("threads", 1));
   const bool quick = flags.GetBool("quick", false);
   const std::string spmm_out = flags.GetString("spmm-out", "BENCH_spmm.json");
-  const std::string simd_out = flags.GetString("simd-out", "BENCH_simd.json");
-  if (flags.GetBool("simd-sweep", false)) {
-    // Scalar-vs-SIMD sweep only: the simd-regression ctest
-    // path (with `--quick` sizes when combined).
-    RunSimdSweepAndReport(quick, simd_out);
-    benchmark::Shutdown();
-    return 0;
-  }
   if (quick) {
     // Reduced-size SpMM sweep only: the bench-regression ctest path.
     RunSpmmSweepAndReport(/*quick=*/true, spmm_out);
@@ -460,7 +299,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   RunSpmmSweepAndReport(/*quick=*/false, spmm_out);
-  RunSimdSweepAndReport(/*quick=*/false, simd_out);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -32,7 +32,6 @@ PRIMARY_FIELDS = {
     "plan_sweep": ("plan_speedup", "higher"),
     "table5_obs": ("overhead_ratio", "lower"),
     "serve_trace": ("serve_speedup", "higher"),
-    "simd_sweep": ("simd_speedup", "higher"),
 }
 
 

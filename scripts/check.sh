@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification ladder: tier-1 -> property suites -> ASan -> UBSan -> TSan.
+# Full verification ladder: tier-1 -> property suites -> scalar tier -> ASan ->
+# UBSan -> TSan.
 # The property stage includes the aggregation suites (spmm_equivalence_test:
 # the one SpMM kernel against its gather/scale/scatter chain oracle;
 # dense_reference_test: the GCN/GIN/GAT layers against a dense adjacency),
@@ -17,10 +18,12 @@
 # explain_test (plan on/off and divergence cases per method).
 # (UBSan covers the intrinsic wrappers too — simd.cc is in the instrumented
 # smoke set, so misaligned or out-of-range lane arithmetic fails the ubsan
-# stage.)
+# stage.) The scalar stage rebuilds with REVELIO_SIMD_ISA=scalar, so the
+# tier-1 and property suites run the 1-lane instance of the same kernel
+# bodies.
 #
 # Usage: scripts/check.sh [--fast] [-j N]
-#   --fast   skip the sanitizer stages (tier1 + prop only)
+#   --fast   skip the scalar and sanitizer stages (tier1 + prop only)
 #   -j N     build parallelism (default 4)
 #
 # Each stage configures/builds its preset if needed, then runs the matching
@@ -83,6 +86,8 @@ run_stage "bench-diff" python3 scripts/bench_diff.py
 run_stage "san-smoke"  ctest --test-dir build -L san --output-on-failure
 
 if [[ "${FAST}" -eq 0 ]]; then
+  run_stage "scalar-build" build_preset scalar
+  run_stage "scalar"      ctest --preset scalar
   run_stage "asan-build"  build_preset asan
   run_stage "asan"        ctest --preset asan
   # Plan replay again under ASan: replay reruns every kernel in place, so the
@@ -90,11 +95,10 @@ if [[ "${FAST}" -eq 0 ]]; then
   # a NaN in the bitwise comparison while ASan watches the buffers' bounds.
   run_stage "plan"        ctest --preset asan -R "plan_equivalence_test|plan_test|explain_test"
   # SIMD equivalence under ASan: the vector sweeps must never read past n
-  # (the scalar tail owns the remainder), and the NaN-prefill replay test
-  # reruns the SIMD kernels over NaN-filled outputs. parallel_test adds
-  # MatMul's dA at the workload shapes (short inner lengths, half-zero
-  # gradients) through the transposed-weight scratch.
-  run_stage "simd"        ctest --preset asan -R "simd_equivalence_test|parallel_test|plan_equivalence_test"
+  # (the scalar tail owns the remainder) — the kernel oracle sizes every
+  # buffer exactly, MatMul's dA at the workload shapes included — and the
+  # NaN-prefill replay test reruns the kernels over NaN-filled outputs.
+  run_stage "simd"        ctest --preset asan -R "simd_equivalence_test|plan_equivalence_test"
   run_stage "ubsan-build" build_preset ubsan
   run_stage "ubsan"       ctest --preset ubsan
   run_stage "tsan-build"  build_preset tsan

@@ -148,38 +148,29 @@ void AppendRevelioAuditConfig(obs::AuditRecord* audit, const RevelioOptions& opt
   audit->config.emplace_back("tanh_flow_masks", options.use_tanh_flow_masks ? "1" : "0");
 }
 
-// The task's flows under the max_flows budget (ResourceExhausted above it).
-util::StatusOr<flow::FlowSet> EnumerateTaskFlows(const ExplanationTask& task,
-                                                 const gnn::LayerEdgeSet& edges,
-                                                 int64_t max_flows) {
-  obs::ScopedSpan span("revelio.enumerate_flows");
-  util::StatusOr<flow::FlowSet> flows = flow::EnumerateInstanceFlows(
-      edges, task.target_node, task.model->num_layers(), max_flows);
-  obs::AuditScope::AddPhase("enumerate_flows", span.ElapsedSeconds());
-  return flows;
-}
-
 }  // namespace
 
 RevelioExplainer::FlowExplanation RevelioExplainer::ExplainFlows(const ExplanationTask& task,
                                                                  Objective objective) {
-  CHECK(task.model != nullptr && task.graph != nullptr);
-  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
-  util::StatusOr<flow::FlowSet> flows = EnumerateTaskFlows(task, edges, options_.max_flows);
-  CHECK(flows.ok()) << flows.status().ToString();
-  return ExplainEnumerated(task, edges, std::move(flows).value(), objective);
-}
-
-RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
-    const ExplanationTask& task, const gnn::LayerEdgeSet& edges, flow::FlowSet enumerated,
-    Objective objective) {
+  FlowExplanation result;
+  result.status = explain::ValidateExplanationTask(task);
+  if (!result.status.ok()) return result;
   const gnn::GnnModel& model = *task.model;
   const int num_layers = model.num_layers();
+  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
+  {
+    obs::ScopedSpan span("revelio.enumerate_flows");
+    util::StatusOr<flow::FlowSet> flows =
+        flow::EnumerateInstanceFlows(edges, task.target_node, num_layers, options_.max_flows);
+    obs::AuditScope::AddPhase("enumerate_flows", span.ElapsedSeconds());
+    if (!flows.ok()) {
+      result.status = flows.status();
+      return result;
+    }
+    result.flows = std::move(flows).value();
+  }
 
   AppendRevelioAuditConfig(obs::AuditScope::Current(), options_);
-
-  FlowExplanation result;
-  result.flows = std::move(enumerated);
   CHECK_GT(result.flows.num_flows(), 0);
 
   // §VI prefiltering: learn masks only for the top-k most salient flows.
@@ -239,14 +230,7 @@ RevelioExplainer::FlowExplanation RevelioExplainer::ExplainEnumerated(
 
 Explanation RevelioExplainer::ExplainImpl(const ExplanationTask& task, Objective objective) {
   Explanation explanation;
-  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
-  util::StatusOr<flow::FlowSet> flows = EnumerateTaskFlows(task, edges, options_.max_flows);
-  if (!flows.ok()) {
-    explanation.status = flows.status();
-    return explanation;
-  }
-  FlowExplanation flow_explanation =
-      ExplainEnumerated(task, edges, std::move(flows).value(), objective);
+  FlowExplanation flow_explanation = ExplainFlows(task, objective);
   if (!flow_explanation.status.ok()) {
     explanation.status = flow_explanation.status;
     return explanation;

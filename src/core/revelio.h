@@ -62,12 +62,12 @@ class RevelioExplainer : public explain::Explainer {
     std::vector<std::vector<double>> layer_edge_masks;  // sigmoid outputs, [L][E_layer]
     std::vector<double> edge_scores;  // per base edge
     std::vector<double> layer_weights;  // learned w (length L)
-    // Internal when mask learning diverged (a non-finite loss); the score
-    // vectors are then empty.
+    // InvalidArgument for a task that fails ValidateExplanationTask,
+    // ResourceExhausted when it enumerates to more than options().max_flows
+    // flows, Internal when mask learning diverged (a non-finite loss). The
+    // score vectors are empty on any failure.
     util::Status status = util::Status::Ok();
   };
-  // The task must enumerate to at most options().max_flows flows (ExplainImpl
-  // pre-screens and answers ResourceExhausted instead).
   FlowExplanation ExplainFlows(const explain::ExplanationTask& task,
                                explain::Objective objective);
 
@@ -79,11 +79,6 @@ class RevelioExplainer : public explain::Explainer {
                                    explain::Objective objective) override;
 
  private:
-  // Mask training and readout over the task's enumerated flows.
-  FlowExplanation ExplainEnumerated(const explain::ExplanationTask& task,
-                                    const gnn::LayerEdgeSet& edges, flow::FlowSet enumerated,
-                                    explain::Objective objective);
-
   RevelioOptions options_;
 };
 

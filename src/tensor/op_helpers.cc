@@ -33,14 +33,7 @@ void AccumulateInto(TensorNode* target, const std::vector<float>& grad, float sc
   if (!target->requires_grad) return;
   target->EnsureGrad();
   CHECK_EQ(target->grad.size(), grad.size());
-  const float* g = grad.data();
-  float* t = target->grad.data();
-  const int64_t n = static_cast<int64_t>(grad.size());
-  if (simd::Enabled()) {
-    simd::MulAccF32(g, scale, t, n);
-    return;
-  }
-  for (int64_t i = 0; i < n; ++i) t[i] += scale * g[i];
+  simd::MulAccF32(grad.data(), scale, target->grad.data(), static_cast<int64_t>(grad.size()));
 }
 
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op_name) {

@@ -22,13 +22,12 @@
 // scratch state is reset inside the lambda. obs spans/counters stay outside
 // the recorded closure: replay is on the hot path and must not re-count.
 //
-// SIMD (DESIGN.md §13): kernel bodies dispatch to the tensor/simd.h kernels
-// when simd::Enabled(), falling back to the scalar loops below otherwise.
-// The dispatch lives INSIDE the kernel lambdas, so recorded tapes honor the
-// runtime toggle on replay. Vectorized bodies are bitwise-equal to the
-// scalar loops (mul-then-add per element in the same order), MatMul's dA
-// included; the ulp-bounded DotF32 reductions live in ops_spmm.cc and
-// ops_index.cc.
+// SIMD (DESIGN.md §13): every float loop below has one body, a tensor/simd.h
+// kernel, called unconditionally; the lane width is a build-time choice. The
+// kernels are bitwise-equal to the scalar reference loops of
+// tests/prop/simd_equivalence_test.cc (mul-then-add per element in the same
+// order), MatMul's dA included; the ulp-bounded DotF32 reductions live in
+// ops_spmm.cc and ops_index.cc.
 // Transcendental forwards (Tanh/Sigmoid/Exp/Log/Softplus) stay scalar: libm
 // is not lane-invariant, and they are compute- not bandwidth-bound.
 
@@ -43,15 +42,9 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, bv, ov, n]() {
-    if (simd::Enabled()) {
-      simd::AddF32(av, bv, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] + bv[i];
-  };
+  auto run = [av, bv, ov, n]() { simd::AddF32(av, bv, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("Add", out, {a.node(), b.node()}, run);
   }
@@ -69,15 +62,9 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, bv, ov, n]() {
-    if (simd::Enabled()) {
-      simd::SubF32(av, bv, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] - bv[i];
-  };
+  auto run = [av, bv, ov, n]() { simd::SubF32(av, bv, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("Sub", out, {a.node(), b.node()}, run);
   }
@@ -95,15 +82,9 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const float* bv = b.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, bv, ov, n]() {
-    if (simd::Enabled()) {
-      simd::MulF32(av, bv, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] * bv[i];
-  };
+  auto run = [av, bv, ov, n]() { simd::MulF32(av, bv, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("Mul", out, {a.node(), b.node()}, run);
   }
@@ -116,21 +97,13 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      if (simd::Enabled()) {
-        simd::MulPairAccF32(g, bv, ga, n);
-      } else {
-        for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * bv[i];
-      }
+      simd::MulPairAccF32(g, bv, ga, n);
     }
     if (bn->requires_grad) {
       bn->EnsureGrad();
       float* gb = bn->grad.data();
       const float* av = an->values.data();
-      if (simd::Enabled()) {
-        simd::MulPairAccF32(g, av, gb, n);
-      } else {
-        for (int64_t i = 0; i < n; ++i) gb[i] += g[i] * av[i];
-      }
+      simd::MulPairAccF32(g, av, gb, n);
     }
   });
   return Tensor::FromNode(out);
@@ -148,15 +121,11 @@ Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row) {
   auto run = [mv, rv, ov, cols, rows]() {
     for (int r = 0; r < rows; ++r) {
       const size_t base = static_cast<size_t>(r) * cols;
-      if (simd::Enabled()) {
-        simd::AddF32(mv + base, rv, ov + base, cols);
-        continue;
-      }
-      for (int c = 0; c < cols; ++c) ov[base + c] = mv[base + c] + rv[c];
+      simd::AddF32(mv + base, rv, ov + base, cols);
     }
   };
   run();
-  if (simd::Enabled()) simd::CountSweep(out->numel());
+  simd::CountSweep(out->numel());
   if (rec::Recording()) {
     rec::Record("AddRowBroadcast", out, {matrix.node(), row.node()}, run);
   }
@@ -186,15 +155,9 @@ Tensor AddScalar(const Tensor& a, float s) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, ov, s, n]() {
-    if (simd::Enabled()) {
-      simd::AddScalarF32(av, s, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] + s;
-  };
+  auto run = [av, ov, s, n]() { simd::AddScalarF32(av, s, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("AddScalar", out, {a.node()}, run);
   }
@@ -208,15 +171,9 @@ Tensor MulScalar(const Tensor& a, float s) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, ov, s, n]() {
-    if (simd::Enabled()) {
-      simd::MulScalarF32(av, s, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] * s;
-  };
+  auto run = [av, ov, s, n]() { simd::MulScalarF32(av, s, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("MulScalar", out, {a.node()}, run);
   }
@@ -236,16 +193,9 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
   // by value): on plan replay the scale has been re-trained since recording.
   const float* sv = scalar.values().data();
   const int64_t n = out->numel();
-  auto run = [av, ov, sv, n]() {
-    const float s = sv[0];
-    if (simd::Enabled()) {
-      simd::MulScalarF32(av, s, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] * s;
-  };
+  auto run = [av, ov, sv, n]() { simd::MulScalarF32(av, sv[0], ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("ScaleByScalarTensor", out, {a.node(), scalar.node()}, run);
   }
@@ -258,11 +208,7 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& scalar) {
     if (an->requires_grad) {
       an->EnsureGrad();
       float* ga = an->grad.data();
-      if (simd::Enabled()) {
-        simd::MulAccF32(g, s, ga, n);
-      } else {
-        for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * s;
-      }
+      simd::MulAccF32(g, s, ga, n);
     }
     if (sn->requires_grad) {
       sn->EnsureGrad();
@@ -281,15 +227,9 @@ Tensor Relu(const Tensor& a) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, ov, n]() {
-    if (simd::Enabled()) {
-      simd::ReluF32(av, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ov[i] = av[i] > 0.0f ? av[i] : 0.0f;
-  };
+  auto run = [av, ov, n]() { simd::ReluF32(av, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("Relu", out, {a.node()}, run);
   }
@@ -301,13 +241,7 @@ Tensor Relu(const Tensor& a) {
     const float* av = an->values.data();
     float* ga = an->grad.data();
     const int64_t n = static_cast<int64_t>(o->grad.size());
-    if (simd::Enabled()) {
-      simd::ReluGradAccF32(g, av, ga, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      if (av[i] > 0.0f) ga[i] += g[i];
-    }
+    simd::ReluGradAccF32(g, av, ga, n);
   });
   return Tensor::FromNode(out);
 }
@@ -317,17 +251,9 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
   const float* av = a.values().data();
   float* ov = out->values.data();
   const int64_t n = out->numel();
-  auto run = [av, ov, negative_slope, n]() {
-    if (simd::Enabled()) {
-      simd::LeakyReluF32(av, negative_slope, ov, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      ov[i] = av[i] > 0.0f ? av[i] : negative_slope * av[i];
-    }
-  };
+  auto run = [av, ov, negative_slope, n]() { simd::LeakyReluF32(av, negative_slope, ov, n); };
   run();
-  if (simd::Enabled()) simd::CountSweep(n);
+  simd::CountSweep(n);
   if (rec::Recording()) {
     rec::Record("LeakyRelu", out, {a.node()}, run);
   }
@@ -339,11 +265,7 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
     const float* av = an->values.data();
     float* ga = an->grad.data();
     const int64_t n = static_cast<int64_t>(o->grad.size());
-    if (simd::Enabled()) {
-      simd::LeakyReluGradAccF32(g, av, negative_slope, ga, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (av[i] > 0.0f ? 1.0f : negative_slope);
+    simd::LeakyReluGradAccF32(g, av, negative_slope, ga, n);
   });
   return Tensor::FromNode(out);
 }
@@ -368,11 +290,7 @@ Tensor Tanh(const Tensor& a) {
     const float* ov = o->values.data();
     float* ga = an->grad.data();
     const int64_t n = static_cast<int64_t>(o->grad.size());
-    if (simd::Enabled()) {
-      simd::TanhGradAccF32(g, ov, ga, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * (1.0f - ov[i] * ov[i]);
+    simd::TanhGradAccF32(g, ov, ga, n);
   });
   return Tensor::FromNode(out);
 }
@@ -397,11 +315,7 @@ Tensor Sigmoid(const Tensor& a) {
     const float* ov = o->values.data();
     float* ga = an->grad.data();
     const int64_t n = static_cast<int64_t>(o->grad.size());
-    if (simd::Enabled()) {
-      simd::SigmoidGradAccF32(g, ov, ga, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * ov[i] * (1.0f - ov[i]);
+    simd::SigmoidGradAccF32(g, ov, ga, n);
   });
   return Tensor::FromNode(out);
 }
@@ -426,11 +340,7 @@ Tensor Exp(const Tensor& a) {
     const float* ov = o->values.data();
     float* ga = an->grad.data();
     const int64_t n = static_cast<int64_t>(o->grad.size());
-    if (simd::Enabled()) {
-      simd::MulPairAccF32(g, ov, ga, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * ov[i];
+    simd::MulPairAccF32(g, ov, ga, n);
   });
   return Tensor::FromNode(out);
 }
@@ -506,29 +416,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   flops->Add(uint64_t{2} * n * k * m);
   bytes->Add(sizeof(float) * (uint64_t{1} * n * k + uint64_t{1} * k * m + uint64_t{1} * n * m));
   auto out = NewNode(n, m);
-  // ikj loop order: unit-stride inner loop. Each row is zeroed before it
-  // accumulates (a replayed kernel finds the previous epoch's values).
+  // Row-blocked ikj kernel: every output row is overwritten, never
+  // accumulated into (a replayed kernel finds the previous epoch's values).
   const float* av = a.values().data();
   const float* bv = b.values().data();
   float* ov = out->values.data();
-  auto run = [av, bv, ov, n, k, m]() {
-    if (simd::Enabled()) {
-      simd::MatMulRowsF32(av, bv, ov, 0, n, k, m);
-      return;
-    }
-    for (int i = 0; i < n; ++i) {
-      float* orow = ov + static_cast<size_t>(i) * m;
-      std::fill(orow, orow + m, 0.0f);
-      for (int kk = 0; kk < k; ++kk) {
-        const float aik = av[static_cast<size_t>(i) * k + kk];
-        if (aik == 0.0f) continue;
-        const float* brow = bv + static_cast<size_t>(kk) * m;
-        for (int j = 0; j < m; ++j) orow[j] += aik * brow[j];
-      }
-    }
-  };
+  auto run = [av, bv, ov, n, k, m]() { simd::MatMulRowsF32(av, bv, ov, 0, n, k, m); };
   run();
-  if (simd::Enabled()) simd::CountSweep(static_cast<int64_t>(n) * m);
+  simd::CountSweep(static_cast<int64_t>(n) * m);
   if (rec::Recording()) {
     rec::Record("MatMul", out, {a.node(), b.node()}, run);
   }
@@ -537,39 +432,25 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     TensorNode* bn = o->parents[1].get();
     const float* g = o->grad.data();
     if (an->requires_grad) {
-      // dA = G * B^T, computed as dot products against rows of B (the
-      // transposed-B fast path: both factors are read with unit stride).
-      // The SIMD path instead transposes B once and runs the forward's
-      // row-axpy body against B^T (ga[i,:] += sum_j g[i,j] * B^T[j,:]): each
-      // lane folds from +0 over j ascending like `acc` below, so the result
-      // is bitwise-equal. The transpose lives in per-thread scratch that only
-      // grows, so plan replay stays allocation-free.
+      // dA = G * B^T: B is transposed once and the forward's row-axpy body
+      // runs against B^T (ga[i,:] += sum_j g[i,j] * B^T[j,:]). Each element
+      // folds from +0 over j ascending, the order of the serial dot loop
+      // against rows of B, so the result is bitwise-equal to it for finite
+      // B. The transpose lives in per-thread scratch that only grows, so
+      // plan replay stays allocation-free.
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* bv = bn->values.data();
-      if (simd::Enabled()) {
-        thread_local std::vector<float> bt_scratch;
-        if (bt_scratch.size() < static_cast<size_t>(k) * m) {
-          bt_scratch.resize(static_cast<size_t>(k) * m);
-        }
-        for (int kk = 0; kk < k; ++kk) {
-          for (int j = 0; j < m; ++j) {
-            bt_scratch[static_cast<size_t>(j) * k + kk] = bv[static_cast<size_t>(kk) * m + j];
-          }
-        }
-        simd::MatMulAccRowsF32(g, bt_scratch.data(), ga, 0, n, /*k=*/m, /*m=*/k);
-      } else {
-        for (int i = 0; i < n; ++i) {
-          const float* grow = g + static_cast<size_t>(i) * m;
-          float* garow = ga + static_cast<size_t>(i) * k;
-          for (int kk = 0; kk < k; ++kk) {
-            const float* brow = bv + static_cast<size_t>(kk) * m;
-            float acc = 0.0f;
-            for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
-            garow[kk] += acc;
-          }
+      thread_local std::vector<float> bt_scratch;
+      if (bt_scratch.size() < static_cast<size_t>(k) * m) {
+        bt_scratch.resize(static_cast<size_t>(k) * m);
+      }
+      for (int kk = 0; kk < k; ++kk) {
+        for (int j = 0; j < m; ++j) {
+          bt_scratch[static_cast<size_t>(j) * k + kk] = bv[static_cast<size_t>(kk) * m + j];
         }
       }
+      simd::MatMulAccRowsF32(g, bt_scratch.data(), ga, 0, n, /*k=*/m, /*m=*/k);
     }
     if (bn->requires_grad) {
       // dB = A^T * G, with the i loop outermost so each dB element
@@ -577,20 +458,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       bn->EnsureGrad();
       float* gb = bn->grad.data();
       const float* av = an->values.data();
-      if (simd::Enabled()) {
-        simd::MatMulGradBRowsF32(g, av, gb, 0, k, n, k, m);
-        return;
-      }
-      for (int i = 0; i < n; ++i) {
-        const float* grow = g + static_cast<size_t>(i) * m;
-        const float* arow = av + static_cast<size_t>(i) * k;
-        for (int kk = 0; kk < k; ++kk) {
-          const float aik = arow[kk];
-          if (aik == 0.0f) continue;
-          float* gbrow = gb + static_cast<size_t>(kk) * m;
-          for (int j = 0; j < m; ++j) gbrow[j] += aik * grow[j];
-        }
-      }
+      simd::MatMulGradBRowsF32(g, av, gb, 0, k, n, k, m);
     }
   });
   return Tensor::FromNode(out);
@@ -618,11 +486,7 @@ Tensor Sum(const Tensor& a) {
     const float g = o->grad[0];
     float* ga = an->grad.data();
     const int64_t n = static_cast<int64_t>(an->grad.size());
-    if (simd::Enabled()) {
-      simd::AddScalarAccF32(g, ga, n);
-      return;
-    }
-    for (int64_t i = 0; i < n; ++i) ga[i] += g;
+    simd::AddScalarAccF32(g, ga, n);
   });
   return Tensor::FromNode(out);
 }

@@ -54,15 +54,9 @@ Tensor GatherRows(const Tensor& a, const std::vector<int>& indices) {
     const int* idx = indices.data();
     const int64_t n = static_cast<int64_t>(indices.size());
     // Scatter into the source grad.
-    const bool use_simd = simd::Enabled();
     for (int64_t i = 0; i < n; ++i) {
-      const size_t dst_base = static_cast<size_t>(idx[i]) * cols;
-      const size_t src_base = static_cast<size_t>(i) * cols;
-      if (use_simd) {
-        simd::AddAccF32(g + src_base, ga + dst_base, cols);
-        continue;
-      }
-      for (int c = 0; c < cols; ++c) ga[dst_base + c] += g[src_base + c];
+      simd::AddAccF32(g + static_cast<size_t>(i) * cols, ga + static_cast<size_t>(idx[i]) * cols,
+                      cols);
     }
   });
   return Tensor::FromNode(out);
@@ -86,17 +80,11 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
   // every source row into its destination in scan order.
   auto kernel = [sv, ov, cols, n, num_rows](const int* idx) {
     std::fill(ov, ov + static_cast<size_t>(num_rows) * cols, 0.0f);
-    const bool use_simd = simd::Enabled();
     for (int64_t i = 0; i < n; ++i) {
       const int dst = idx[i];
       DCHECK(dst >= 0 && dst < num_rows) << "ScatterAddRows index " << dst << " out of range";
-      const size_t dst_base = static_cast<size_t>(dst) * cols;
-      const size_t src_base = static_cast<size_t>(i) * cols;
-      if (use_simd) {
-        simd::AddAccF32(sv + src_base, ov + dst_base, cols);
-        continue;
-      }
-      for (int c = 0; c < cols; ++c) ov[dst_base + c] += sv[src_base + c];
+      simd::AddAccF32(sv + static_cast<size_t>(i) * cols, ov + static_cast<size_t>(dst) * cols,
+                      cols);
     }
   };
   kernel(indices.data());
@@ -113,15 +101,8 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int>& indices, int nu
     const int* idx = indices.data();
     // The backward of a scatter is a gather: row i reads exactly one source
     // row.
-    const bool use_simd = simd::Enabled();
     for (size_t i = 0; i < indices.size(); ++i) {
-      const size_t src_base = static_cast<size_t>(idx[i]) * cols;
-      const size_t dst_base = i * cols;
-      if (use_simd) {
-        simd::AddAccF32(g + src_base, gs + dst_base, cols);
-        continue;
-      }
-      for (int c = 0; c < cols; ++c) gs[dst_base + c] += g[src_base + c];
+      simd::AddAccF32(g + static_cast<size_t>(idx[i]) * cols, gs + i * cols, cols);
     }
   });
   return Tensor::FromNode(out);
@@ -138,14 +119,9 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
   float* ov = out->values.data();
   const int rows = a.rows();
   auto run = [av, sv, ov, cols, rows]() {
-    const bool use_simd = simd::Enabled();
     for (int r = 0; r < rows; ++r) {
       const size_t base = static_cast<size_t>(r) * cols;
-      if (use_simd) {
-        simd::MulScalarF32(av + base, sv[r], ov + base, cols);
-        continue;
-      }
-      for (int c = 0; c < cols; ++c) ov[base + c] = av[base + c] * sv[r];
+      simd::MulScalarF32(av + base, sv[r], ov + base, cols);
     }
   };
   run();
@@ -160,34 +136,21 @@ Tensor RowScale(const Tensor& a, const Tensor& scale) {
       an->EnsureGrad();
       float* ga = an->grad.data();
       const float* sv = sn->values.data();
-      const bool use_simd = simd::Enabled();
       for (int r = 0; r < o->rows; ++r) {
         const size_t base = static_cast<size_t>(r) * cols;
-        const float s = sv[r];
-        if (use_simd) {
-          simd::MulAccF32(g + base, s, ga + base, cols);
-          continue;
-        }
-        for (int c = 0; c < cols; ++c) ga[base + c] += g[base + c] * s;
+        simd::MulAccF32(g + base, sv[r], ga + base, cols);
       }
     }
     if (sn->requires_grad) {
       sn->EnsureGrad();
       float* gs = sn->grad.data();
       const float* av = an->values.data();
-      // The SIMD path uses the shared DotF32 reduction — the same kernel
-      // SpmmBackwardW uses, keeping the SpMM kernel bitwise-equal to the
-      // chain oracle in backward too (ulp-bounded vs serial).
-      const bool use_simd = simd::Enabled();
+      // The shared DotF32 reduction — the same kernel SpmmBackwardW uses,
+      // keeping the SpMM kernel bitwise-equal to the chain oracle in backward
+      // too (ulp-bounded vs serial).
       for (int r = 0; r < o->rows; ++r) {
         const size_t base = static_cast<size_t>(r) * cols;
-        if (use_simd) {
-          gs[r] += simd::DotF32(g + base, av + base, cols);
-          continue;
-        }
-        float acc = 0.0f;
-        for (int c = 0; c < cols; ++c) acc += g[base + c] * av[base + c];
-        gs[r] += acc;
+        gs[r] += simd::DotF32(g + base, av + base, cols);
       }
     }
   });

@@ -40,21 +40,13 @@ void SpmmForward(const CsrPattern& p, const float* wv, const float* xv, float* o
   const int* row_ptr = p.row_ptr.data();
   const int* col_idx = p.col_idx.data();
   const int* edge_idx = p.edge_idx.data();
-  const bool use_simd = simd::Enabled();
   for (int j = 0; j < p.num_rows; ++j) {
     float* out_row = ov + static_cast<size_t>(j) * cols;
     // A replay finds the previous epoch's sums; zeroing the row first
     // preserves the accumulator semantics.
     std::fill(out_row, out_row + cols, 0.0f);
     for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
-      const size_t xbase = static_cast<size_t>(col_idx[k]) * cols;
-      const float w = wv[edge_idx[k]];
-      if (use_simd) {
-        simd::AxpyF32(w, xv + xbase, out_row, cols);
-      } else {
-        const float* x_row = xv + xbase;
-        for (int c = 0; c < cols; ++c) out_row[c] += w * x_row[c];
-      }
+      simd::AxpyF32(wv[edge_idx[k]], xv + static_cast<size_t>(col_idx[k]) * cols, out_row, cols);
     }
   }
 }
@@ -64,17 +56,10 @@ void SpmmBackwardX(const CsrPattern& p, const float* wv, const float* g, float* 
   const int* tcol_ptr = p.tcol_ptr.data();
   const int* trow_idx = p.trow_idx.data();
   const int* tedge_idx = p.tedge_idx.data();
-  const bool use_simd = simd::Enabled();
   for (int i = 0; i < p.num_cols; ++i) {
     float* gx_row = gx + static_cast<size_t>(i) * cols;
     for (int k = tcol_ptr[i]; k < tcol_ptr[i + 1]; ++k) {
-      const float* g_row = g + static_cast<size_t>(trow_idx[k]) * cols;
-      const float w = wv[tedge_idx[k]];
-      if (use_simd) {
-        simd::AxpyF32(w, g_row, gx_row, cols);
-        continue;
-      }
-      for (int c = 0; c < cols; ++c) gx_row[c] += w * g_row[c];
+      simd::AxpyF32(wv[tedge_idx[k]], g + static_cast<size_t>(trow_idx[k]) * cols, gx_row, cols);
     }
   }
 }
@@ -85,21 +70,13 @@ void SpmmBackwardW(const CsrPattern& p, const float* g, const float* xv, float* 
   const int* row_ptr = p.row_ptr.data();
   const int* col_idx = p.col_idx.data();
   const int* edge_idx = p.edge_idx.data();
-  // The SIMD dot is the shared DotF32 reduction (ulp-bounded class) — the
-  // same kernel RowScale's dscale uses, so the kernel-vs-chain backward
-  // identity stays bitwise.
-  const bool use_simd = simd::Enabled();
+  // The dot is the shared DotF32 reduction (ulp-bounded class) — the same
+  // kernel RowScale's dscale uses, so the kernel-vs-chain backward identity
+  // stays bitwise.
   for (int j = 0; j < p.num_rows; ++j) {
     const float* g_row = g + static_cast<size_t>(j) * cols;
     for (int k = row_ptr[j]; k < row_ptr[j + 1]; ++k) {
-      const float* x_row = xv + static_cast<size_t>(col_idx[k]) * cols;
-      if (use_simd) {
-        gw[edge_idx[k]] += simd::DotF32(g_row, x_row, cols);
-        continue;
-      }
-      float acc = 0.0f;
-      for (int c = 0; c < cols; ++c) acc += g_row[c] * x_row[c];
-      gw[edge_idx[k]] += acc;
+      gw[edge_idx[k]] += simd::DotF32(g_row, xv + static_cast<size_t>(col_idx[k]) * cols, cols);
     }
   }
 }
@@ -119,9 +96,7 @@ Tensor SpmmCsrWeighted(const CsrPatternRef& pattern, const Tensor& weights, cons
   const float* xv = x.values().data();
   float* ov = out->values.data();
   SpmmForward(*pattern, wv, xv, ov, cols);
-  if (simd::Enabled()) {
-    simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
-  }
+  simd::CountSweep(static_cast<int64_t>(pattern->nnz()) * cols);
   if (rec::Recording()) {
     rec::Record("SpmmCsrWeighted", out, {weights.node(), x.node()},
                 [pattern, wv, xv, ov, cols]() {

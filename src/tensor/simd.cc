@@ -1,9 +1,6 @@
 #include "tensor/simd.h"
 
-#include <atomic>
-
 #include "obs/metrics.h"
-#include "util/flags.h"
 
 // The ONLY translation unit built with vector ISA flags (-mavx2 on x86; see
 // src/tensor/CMakeLists.txt, which also defines exactly one of the
@@ -68,7 +65,7 @@ struct VecF32 {
   }
 };
 
-#else  // scalar fallback build
+#else  // scalar build: the same kernel bodies at one lane
 
 struct VecF32 {
   static constexpr int kWidth = 1;
@@ -90,12 +87,6 @@ struct VecF32 {
 #endif
 
 constexpr int kW = VecF32::kWidth;
-
-std::atomic<bool>& SimdFlag() {
-  // No vector tier compiled in (kW == 1) means the scalar loops always run.
-  static std::atomic<bool> flag(kW > 1 && util::EnvFlag("REVELIO_SIMD", true));
-  return flag;
-}
 
 }  // namespace
 
@@ -119,12 +110,6 @@ bool CpuSupportsCompiledIsa() {
   // anywhere.
   return true;
 #endif
-}
-
-bool Enabled() { return SimdFlag().load(std::memory_order_relaxed); }
-
-void SetEnabled(bool enabled) {
-  SimdFlag().store(kW == 1 ? false : enabled, std::memory_order_relaxed);
 }
 
 void CountSweep(int64_t n) {

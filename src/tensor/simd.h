@@ -1,22 +1,23 @@
 #ifndef REVELIO_TENSOR_SIMD_H_
 #define REVELIO_TENSOR_SIMD_H_
 
-// Width-agnostic SIMD kernel tier for the hot float loops.
+// Width-agnostic SIMD kernels: the one body of every hot float loop.
 //
 // The instruction set is selected at COMPILE time — exactly one of AVX2
-// (8 lanes), NEON (4 lanes) or the scalar fallback (1 lane) is baked into
+// (8 lanes), NEON (4 lanes) or the scalar build (1 lane) is baked into
 // simd.cc, which is the only translation unit built with vector ISA flags
 // (see src/tensor/CMakeLists.txt). Every other TU sees only the plain
-// function declarations below, so the rest of the tree keeps the default
-// target arch and the scalar reference loops stay un-widened.
+// function declarations below and keeps the default target arch.
 //
-// At RUNTIME the tier can be disabled with REVELIO_SIMD=0 (or SetEnabled):
-// kernel call sites in ops.cc / ops_index.cc / ops_spmm.cc check Enabled()
-// inside their kernel lambdas and fall back to the original scalar loops.
-// Because the check lives inside the lambda, recorded plan tapes replay the
-// very same kernels and honor the toggle on replay too.
+// The ops in ops.cc / ops_index.cc / ops_spmm.cc / op_helpers.cc call these
+// kernels unconditionally; there is no runtime scalar path. A scalar build
+// (-DREVELIO_SIMD_ISA=scalar) runs the same bodies with a 1-lane VecF32,
+// which the contract below makes bitwise-equal to the scalar loops, DotF32
+// included. Those loops live on as the per-kernel oracle in
+// tests/prop/simd_equivalence_test.cc.
 //
-// Equivalence contract (proven by tests/prop/simd_equivalence_test.cc):
+// Equivalence contract against the scalar reference loops (proven kernel by
+// kernel in tests/prop/simd_equivalence_test.cc, at every compiled width):
 //  - Elementwise kernels, axpy-style accumulations and the matmul/spmm
 //    kernels (forward and backward) are BITWISE-equal to the scalar loops:
 //    they issue the same mul-then-add per element in the same order (no FMA
@@ -30,16 +31,15 @@
 //    fixed left-to-right order. The result is deterministic at every thread
 //    count, but only ulp-bounded against the serial accumulation order —
 //    the "ulp-bounded" tolerance class of util::proptest. Vectors shorter
-//    than one lane width take the serial fold and are bitwise. Both dot
-//    call sites share this one implementation, so identities that compare
-//    them against each other (the SpMM kernel vs its chain test oracle) stay
-//    bitwise.
+//    than one lane width take the serial fold and are bitwise, and so is
+//    every length at 1 lane. Both dot call sites share this one
+//    implementation, so identities that compare them against each other
+//    (the SpMM kernel vs its chain test oracle) stay bitwise.
 //
 // Tail handling: every kernel processes floor(n / Lanes()) full vectors and
 // finishes the remainder with the scalar expression. Every expression is
 // per-element, so where the vector body ends changes which iterations are
-// vector-bodied vs tail but not the computed bits, at any shape
-// (regression: tests/parallel_test.cc, odd-shape cases).
+// vector-bodied vs tail but not the computed bits, at any shape.
 //
 // Observability: call sites report sweep shapes via CountSweep, which feeds
 // the tensor.simd.{lanes,vector_ops,scalar_tail} counters (vector bodies
@@ -62,14 +62,9 @@ const char* IsaName();
 // The revelio_simd_selftest ctest fails fast when this is false.
 bool CpuSupportsCompiledIsa();
 
-// Runtime toggle. Defaults to true when the compiled width is > 1 unless
-// REVELIO_SIMD=0/false/off is set in the environment.
-bool Enabled();
-void SetEnabled(bool enabled);
-
 // Adds n / Lanes() to tensor.simd.vector_ops and n % Lanes() to
-// tensor.simd.scalar_tail (and pins tensor.simd.lanes). No-op counters when
-// the tier is disabled; call once per op-level sweep of n elements.
+// tensor.simd.scalar_tail (and pins tensor.simd.lanes). Call once per
+// op-level sweep of n elements.
 void CountSweep(int64_t n);
 
 // --- Elementwise kernels over [0, n) — bitwise class ------------------------

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -21,7 +20,6 @@
 #include "obs/metrics.h"
 #include "plan/plan.h"
 #include "tensor/ops.h"
-#include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -230,80 +228,6 @@ TEST_F(ParallelTest, SegmentSoftmaxBitwiseIdentical) {
   for (int threads : {2, 4}) {
     EXPECT_EQ(RunWithThreads(threads, compute), serial) << threads << " threads";
   }
-}
-
-TEST_F(ParallelTest, OddShapesStayBitwiseAcrossThreadsWithSimd) {
-  // Regression for the SIMD tier (tensor/simd.h): owner-computes chunk
-  // boundaries land mid-vector on shapes that are not multiples of the lane
-  // width, shifting iterations between one chunk's vector body and another's
-  // scalar tail. Those must compute identical bits at every thread count.
-  tensor::simd::SetEnabled(true);
-  struct Shape {
-    int rows, cols;
-  };
-  // 7, 13, 61: coprime to every supported lane width (1/4/8).
-  for (const Shape s : {Shape{601, 61}, Shape{7, 13}, Shape{1, 7}}) {
-    auto compute = [s] {
-      util::Rng rng(11);
-      tensor::Tensor a = tensor::Tensor::Randn(s.rows, s.cols, &rng).WithRequiresGrad();
-      tensor::Tensor b = tensor::Tensor::Randn(s.rows, s.cols, &rng).WithRequiresGrad();
-      tensor::Tensor y = tensor::Relu(tensor::Mul(tensor::Add(a, b), a));
-      tensor::Sum(y).Backward();
-      std::vector<float> flat = y.values();
-      const std::vector<float> ga = a.GradData();
-      const std::vector<float> gb = b.GradData();
-      flat.insert(flat.end(), ga.begin(), ga.end());
-      flat.insert(flat.end(), gb.begin(), gb.end());
-      return flat;
-    };
-    const std::vector<float> serial = RunWithThreads(1, compute);
-    for (int threads : {2, 7, 16}) {
-      EXPECT_EQ(RunWithThreads(threads, compute), serial)
-          << s.rows << "x" << s.cols << " at " << threads << " threads";
-    }
-  }
-  tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
-}
-
-TEST_F(ParallelTest, MatMulGradAWorkloadShapesBitwiseAcrossSimdAndThreads) {
-  // MatMul's dA at the shapes the explanation workloads run: (n, k, m) for
-  // A = n x k, a frozen weight B = k x m, and an upstream gradient G = n x m
-  // with about half its entries exactly 0, like a ReLU-masked gradient. The
-  // SIMD path (row-axpy against B^T, zero entries of G skipped) must match
-  // the scalar dot loop bit for bit, at every thread count.
-  struct Shape {
-    int n, k, m;
-  };
-  for (const Shape s : {Shape{37, 32, 4}, Shape{37, 4, 1}, Shape{601, 32, 32}, Shape{5, 13, 7},
-                        Shape{1, 7, 1}}) {
-    auto compute = [s] {
-      util::Rng rng(13);
-      tensor::Tensor a = tensor::Tensor::Randn(s.n, s.k, &rng).WithRequiresGrad();
-      const tensor::Tensor b = tensor::Tensor::Randn(s.k, s.m, &rng);
-      tensor::Tensor g = tensor::Tensor::Randn(s.n, s.m, &rng);
-      for (float& v : *g.mutable_values()) {
-        if (rng.Uniform() < 0.5) v = 0.0f;
-      }
-      // d/dC sum(C * G) = 1 * G: the MatMul receives G exactly.
-      tensor::Sum(tensor::Mul(tensor::MatMul(a, b), g)).Backward();
-      const std::vector<float> ga = a.GradData();
-      std::vector<uint32_t> bits(ga.size());
-      std::memcpy(bits.data(), ga.data(), ga.size() * sizeof(float));
-      return bits;
-    };
-    tensor::simd::SetEnabled(false);
-    util::SetNumThreads(1);
-    const std::vector<uint32_t> reference = compute();
-    for (const bool simd_on : {false, true}) {
-      tensor::simd::SetEnabled(simd_on);
-      for (int threads : {1, 2, 7}) {
-        EXPECT_EQ(RunWithThreads(threads, compute), reference)
-            << "(" << s.n << "," << s.k << "," << s.m << ") simd=" << simd_on << " at "
-            << threads << " threads";
-      }
-    }
-  }
-  tensor::simd::SetEnabled(tensor::simd::Lanes() > 1);
 }
 
 TEST_F(ParallelTest, GcnTrainingStepBitwiseIdentical) {

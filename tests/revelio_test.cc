@@ -301,6 +301,30 @@ TEST_F(RevelioFixture, DivergentLearningRateReturnsStatusNotNanScores) {
   EXPECT_TRUE(result.edge_scores.empty());
 }
 
+TEST_F(RevelioFixture, ExplainFlowsReturnsStatusForOverBudgetAndInvalidTasks) {
+  // ExplainFlows is public: a task over the flow budget, or one that fails
+  // validation, must come back as a status with empty scores, not an abort.
+  const ExplanationTask task = MakeTask();
+  const gnn::LayerEdgeSet edges = gnn::BuildLayerEdges(*task.graph);
+  ASSERT_GT(flow::CountFlowsToTarget(edges, task.target_node, 3), 1);
+  RevelioOptions options = FastOptions();
+  options.max_flows = 1;
+  const auto over_budget = RevelioExplainer(options).ExplainFlows(task, Objective::kFactual);
+  EXPECT_EQ(over_budget.status.code(), util::StatusCode::kResourceExhausted)
+      << over_budget.status.ToString();
+  EXPECT_TRUE(over_budget.flow_scores.empty());
+  EXPECT_TRUE(over_budget.edge_scores.empty());
+  EXPECT_TRUE(over_budget.layer_edge_masks.empty());
+
+  ExplanationTask graphless = task;
+  graphless.graph = nullptr;
+  const auto invalid = RevelioExplainer(FastOptions()).ExplainFlows(graphless, Objective::kFactual);
+  EXPECT_EQ(invalid.status.code(), util::StatusCode::kInvalidArgument)
+      << invalid.status.ToString();
+  EXPECT_TRUE(invalid.flow_scores.empty());
+  EXPECT_TRUE(invalid.edge_scores.empty());
+}
+
 TEST_F(RevelioFixture, GraphTaskExplanationCoversAllFlows) {
   // Build a tiny graph-classification model and explain one instance.
   gnn::GnnConfig config;

@@ -11,8 +11,8 @@
 
 int main() {
   namespace simd = revelio::tensor::simd;
-  std::printf("compiled SIMD tier: %s (%d lanes), runtime dispatch %s\n", simd::IsaName(),
-              simd::Lanes(), simd::Enabled() ? "enabled" : "disabled (REVELIO_SIMD=0)");
+  std::printf("compiled SIMD tier: %s (%d lanes); every tensor kernel runs this tier\n",
+              simd::IsaName(), simd::Lanes());
   if (!simd::CpuSupportsCompiledIsa()) {
     std::fprintf(stderr,
                  "FATAL: this binary was compiled for '%s' but the CPU does not support it; "
